@@ -25,6 +25,7 @@ from .experiments import (
     run_psnr_table,
     synthetic_image,
     wavelet_depth,
+    write_csv,
 )
 from .linop import blur_apply, make_gaussian_psf
 from .pgmio import read_pgm, write_pgm
@@ -189,29 +190,22 @@ def cmd_deblur(cfg, quiet=False):
     psf = make_gaussian_psf(cfg["psf_size"], cfg["psf_sigma"])
     sigma = cfg["noise_sigma"]
     lam = cfg["lambda"] if cfg["lambda"] is not None else 10.0 * sigma**2
-    n = cfg["n"] if variant in (Variant.IFISTA, Variant.EFISTA) else 1
-    if variant is Variant.EFISTA:
-        p = cfg["p"] if cfg["p"] is not None else default_threshold_scale(
-            psf, truth.shape, cfg["eta"], n)
-    else:
-        p = 1.0
-    b = add_awgn(blur_apply(psf, truth), sigma, cfg["seed"])
     solver_cfg = SolverConfig(
-        variant=variant, eta=cfg["eta"], lam=lam, n=n, p=p,
+        variant=variant, eta=cfg["eta"], lam=lam, n=cfg["n"], p=cfg["p"],
         max_iters=cfg["iterations"], wavelet_levels=wavelet_depth(truth.shape),
         record_psnr=True,
     )
+    n, p = solver_cfg.n, solver_cfg.p
+    if p is None:
+        p = default_threshold_scale(psf, truth.shape, solver_cfg.eta, n)
+    b = add_awgn(blur_apply(psf, truth), sigma, cfg["seed"])
     x, trace = run_solver(solver_cfg, b, psf, x0=b, truth=truth)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     write_pgm(os.path.join(out, "blurred.pgm"), b)
     write_pgm(os.path.join(out, "deblurred.pgm"), x)
-    rows = format_trace_rows(trace, variant.value, n, p, 0)
-    with open(os.path.join(out, "trace.csv"), "w", encoding="utf-8",
-              newline="\n") as f:
-        f.write(CURVE_HEADER + "\n")
-        for row in rows:
-            f.write(row + "\n")
+    write_csv(os.path.join(out, "trace.csv"), CURVE_HEADER,
+              format_trace_rows(trace, variant.value, n, p, 0))
     diverged = trace.diverged or trajectory_diverged(trace.objectives())
     if not quiet:
         final = trace.records[-1].objective if trace.records else float("nan")

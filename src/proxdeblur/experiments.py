@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import blur_apply, idct2, make_gaussian_psf, spectral_decompose
+from .linop import blur_apply, idct2, make_gaussian_psf
 from .pgmio import read_pgm
-from .solvers import SolverConfig, Variant, run_solver, trajectory_diverged
-from .weighting import build_filter, lambda_max_W
+from .solvers import SolverConfig, Variant, psnr, run_solver, trajectory_diverged
+from .weighting import operator_plan
 
 __all__ = [
     "STANDARD_IMAGES",
@@ -54,18 +54,6 @@ def add_awgn(x, sigma, seed):
         return x.copy()
     rng = np.random.default_rng(seed)
     return x + sigma * rng.standard_normal(x.shape)
-
-
-def psnr(x, reference):
-    """Peak signal-to-noise ratio in dB with peak 1.0, capped at 200 dB."""
-    x = np.asarray(x, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if x.shape != reference.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {reference.shape}")
-    mse = float(((x - reference) ** 2).mean())
-    if mse < 1e-20:
-        return 200.0
-    return 10 * math.log10(1.0 / mse)
 
 
 def synthetic_image(image_id, size=256):
@@ -158,11 +146,9 @@ def wavelet_depth(shape, cap=8):
 
 
 def default_threshold_scale(psf, shape, eta, n):
-    """The default threshold scale p = lambda_max(W_n) for a given setup."""
-    if n == 1:
-        return 1.0
-    h, w = shape
-    return lambda_max_W(build_filter(spectral_decompose(psf, eta, w, h), n))
+    """The default threshold scale p = lambda_max(W_n), from the cached
+    operator plan that run_solver uses for the same setup."""
+    return operator_plan(psf, shape, eta, n).lambda_max_W
 
 
 @dataclass
@@ -237,7 +223,7 @@ def format_trace_rows(trace, variant, n, p, trial):
     return rows
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         for row in rows:
@@ -317,7 +303,7 @@ def run_convergence_test(scenario, variants, n_values, out_dir=None,
             os.makedirs(out_dir, exist_ok=True)
             name = (f"curves_{scenario.image_id}_sigma{scenario.noise_sigma:g}"
                     f"_{variant.value}.csv")
-            _write_csv(os.path.join(out_dir, name), CURVE_HEADER, rows)
+            write_csv(os.path.join(out_dir, name), CURVE_HEADER, rows)
     return results
 
 
@@ -383,7 +369,7 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None,
         os.makedirs(out_dir, exist_ok=True)
         name = f"psweep_{scenario.image_id}_n{n}.csv"
         rows = [f"{_g17(pt.p)},{_g17(pt.objective)}" for pt in result.points]
-        _write_csv(os.path.join(out_dir, name), "p,objective", rows)
+        write_csv(os.path.join(out_dir, name), "p,objective", rows)
     return result
 
 
@@ -455,7 +441,7 @@ def run_psnr_table(scenarios, out_dir=None, images_dir=None, workers=None):
             f"{_g17(r.psnr_mean)},{_g17(r.psnr_std)},{_g17(r.secs_mean)}"
             for r in table.rows
         ]
-        _write_csv(os.path.join(out_dir, "table.csv"), TABLE_HEADER, rows)
+        write_csv(os.path.join(out_dir, "table.csv"), TABLE_HEADER, rows)
         with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8",
                   newline="\n") as f:
             f.write(table.render() + "\n")

@@ -9,6 +9,13 @@ One step is
 with S_gamma the wavelet-domain soft threshold.  The four variants are
 structural reductions of this single code path: IFISTA is p = 1, FISTA is
 additionally n = 1, and ISTA drops the momentum extrapolation (y = x).
+
+For a doubly symmetric kernel, A = C^T diag(lam) C with C the orthonormal
+DCT-II, so the gradient step is y - eta idct2(phi lam (lam Cy - Cb)) with
+the W_n filter phi (1 for n = 1).  The step then keeps Cx next to x: Cy
+follows from it by the linearity of the momentum, and the data term is
+1/2 ||lam Cx - Cb||^2 by Parseval.  Other kernels take the matrix-free
+n-step recursion.
 """
 
 import dataclasses
@@ -20,20 +27,9 @@ from enum import Enum
 
 import numpy as np
 
-from .linop import (
-    blur_apply,
-    dct2,
-    gradient,
-    lambda_max_AtA,
-    spectral_decompose,
-)
+from .linop import blur_apply, dct2, gradient, idct2
 from .wavelet import l1_norm_wavelet, prox_l1_wavelet
-from .weighting import (
-    apply_weighted_gradient_nstep,
-    apply_weighted_gradient_spectral,
-    build_filter,
-    lambda_max_W,
-)
+from .weighting import apply_weighted_gradient_nstep, operator_plan
 
 __all__ = [
     "Variant",
@@ -44,6 +40,7 @@ __all__ = [
     "Problem",
     "DivergenceError",
     "objective",
+    "psnr",
     "momentum_alpha",
     "momentum_extrapolate",
     "efista_step",
@@ -79,6 +76,8 @@ class SolverConfig:
     from the actual spectrum when the run starts.  For ISTA and FISTA the
     order n is forced to 1, and for everything but EFISTA the threshold
     scale p is forced to 1 (those reductions define the variants).
+    spectral_path = True runs the step in the DCT domain when the kernel
+    has a DCT form; False, or a kernel without one, takes the n-step path.
     """
 
     variant: Variant
@@ -111,15 +110,49 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
+@dataclass(frozen=True)
+class Problem:
+    """What efista_step needs besides the iterates: kernel, data, the
+    operator plan, and cb = dct2(b) when the step runs in the DCT domain."""
+
+    psf: object
+    b: np.ndarray
+    plan: object = None
+    cb: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, cfg, b, psf):
+        """Problem for a run of cfg on data b, with the cached operator plan."""
+        b = np.asarray(b, dtype=float)
+        plan = operator_plan(psf, b.shape, cfg.eta, cfg.n)
+        cb = dct2(b) if cfg.spectral_path and plan.lam is not None else None
+        return cls(psf=psf, b=b, plan=plan, cb=cb)
+
+
 @dataclass
 class SolverState:
-    """Iterate bundle: current x, previous x, momentum point y, alpha, count."""
+    """Iterate bundle, updated in place by efista_step.
+
+    x and the momentum point y, their DCTs cx and cy on the DCT path (None
+    otherwise), alpha, the iteration count, and l1, the detail-band l1 of
+    the wavelet coefficients the last prox produced x from.
+    """
 
     x: np.ndarray
-    x_prev: np.ndarray
     y: np.ndarray
     alpha: float
     iter: int
+    cx: np.ndarray | None = None
+    cy: np.ndarray | None = None
+    l1: float = 0.0
+
+    @classmethod
+    def start(cls, x0, problem):
+        """State at iteration 0 from x0 (kept, not copied; y is a copy)."""
+        x0 = np.asarray(x0, dtype=float)
+        cx = dct2(x0) if problem.cb is not None else None
+        return cls(x=x0, y=x0.copy(), alpha=1.0, iter=0,
+                   cx=cx, cy=None if cx is None else cx.copy())
 
 
 @dataclass
@@ -146,22 +179,19 @@ class IterationTrace:
         return len(self.records)
 
 
-@dataclass
-class Problem:
-    """Operator bundle handed to efista_step: kernel, data, optional filter."""
-
-    psf: object
-    b: np.ndarray
-    filt: object = None
-
-
-def _objective_terms(x, b, psf, lam, levels):
-    r = blur_apply(psf, x) - b
-    # overflow to inf is fine here; the divergence guard feeds on it
+def _half_sq(r):
+    """1/2 ||r||^2.  Overflow to inf is fine; the divergence guard feeds on it."""
     with np.errstate(over="ignore"):
-        data = 0.5 * float((r * r).sum())
-    reg = lam * l1_norm_wavelet(x, levels) if lam != 0 else 0.0
-    return data + reg, data, reg
+        return 0.5 * float((r * r).sum())
+
+
+def _data_term(state, problem):
+    """1/2 ||A x - b||^2 at the state's x, by Parseval on the DCT path."""
+    if problem.cb is None:
+        return _half_sq(blur_apply(problem.psf, state.x) - problem.b)
+    r = problem.plan.lam * state.cx
+    r -= problem.cb
+    return _half_sq(r)
 
 
 def objective(x, b, psf, lam, levels):
@@ -170,7 +200,20 @@ def objective(x, b, psf, lam, levels):
     b = np.asarray(b, dtype=float)
     if x.shape != b.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs b {b.shape}")
-    return _objective_terms(x, b, psf, lam, levels)[0]
+    data = _half_sq(blur_apply(psf, x) - b)
+    return data + (lam * l1_norm_wavelet(x, levels) if lam != 0 else 0.0)
+
+
+def psnr(x, reference):
+    """Peak signal-to-noise ratio in dB with peak 1.0, capped at 200 dB."""
+    x = np.asarray(x, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    if x.shape != reference.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {reference.shape}")
+    mse = float(((x - reference) ** 2).mean())
+    if mse < 1e-20:
+        return 200.0
+    return 10 * math.log10(1.0 / mse)
 
 
 def momentum_alpha(alpha):
@@ -178,73 +221,64 @@ def momentum_alpha(alpha):
     return (1 + math.sqrt(1 + 4 * alpha * alpha)) / 2
 
 
-def momentum_extrapolate(x_new, x_old, alpha, alpha_new):
-    """x_new + ((alpha - 1)/alpha_new) * (x_new - x_old)."""
+def momentum_extrapolate(x_new, x_old, alpha, alpha_new, out=None):
+    """x_new + ((alpha - 1)/alpha_new) * (x_new - x_old), into out if given."""
     if x_new.shape != x_old.shape:
         raise ValueError(f"shape mismatch: {x_new.shape} vs {x_old.shape}")
-    return x_new + ((alpha - 1) / alpha_new) * (x_new - x_old)
+    out = np.subtract(x_new, x_old, out=out)
+    out *= (alpha - 1) / alpha_new
+    out += x_new
+    return out
 
 
 def efista_step(state, cfg, problem):
-    """One solver step; returns the next SolverState.
+    """One solver step; updates state in place and returns it.
 
-    Requires cfg.p to be resolved (a number).  When n > 1 the weighted
-    gradient goes through the spectral filter if the problem carries one,
-    or the matrix-free n-step recursion otherwise.
+    Requires cfg.p to be resolved (a number).  With problem.cb set the
+    gradient step is y - eta idct2(gain * (lam Cy - Cb)) from the operator
+    plan, otherwise the matrix-free n-step recursion.
     """
     y = state.y
-    if cfg.n > 1:
-        if problem.filt is not None:
-            g = gradient(problem.psf, y, problem.b)
-            z = y - cfg.eta * apply_weighted_gradient_spectral(problem.filt, g)
-        else:
-            z = apply_weighted_gradient_nstep(problem.psf, y, problem.b, cfg.eta, cfg.n)
+    if problem.cb is not None:
+        r = problem.plan.lam * state.cy
+        r -= problem.cb
+        r *= problem.plan.gain
+        z = idct2(r)
+        z *= cfg.eta
+        np.subtract(y, z, out=z)
     else:
-        z = y - cfg.eta * gradient(problem.psf, y, problem.b)
+        z = apply_weighted_gradient_nstep(problem.psf, y, problem.b, cfg.eta, cfg.n)
     gamma = cfg.p * cfg.lam * cfg.eta
     if gamma > 0:
-        x_new = prox_l1_wavelet(z, gamma, cfg.wavelet_levels)
+        x_new, state.l1 = prox_l1_wavelet(z, gamma, cfg.wavelet_levels, with_l1=True)
     else:
         x_new = z
     if not np.all(np.isfinite(x_new)):
         raise DivergenceError(f"iterate became non-finite at iteration {state.iter + 1}")
+    cx_new = None if problem.cb is None else dct2(x_new)
     alpha_new = momentum_alpha(state.alpha)
     if cfg.variant is Variant.ISTA:
-        y_new = x_new
+        state.y, state.cy = x_new, cx_new
     else:
-        y_new = momentum_extrapolate(x_new, state.x, state.alpha, alpha_new)
-    return SolverState(x=x_new, x_prev=state.x, y=y_new,
-                       alpha=alpha_new, iter=state.iter + 1)
+        momentum_extrapolate(x_new, state.x, state.alpha, alpha_new, out=y)
+        if cx_new is not None:
+            momentum_extrapolate(cx_new, state.cx, state.alpha, alpha_new, out=state.cy)
+    state.x, state.cx, state.alpha = x_new, cx_new, alpha_new
+    state.iter += 1
+    return state
 
 
-def _psnr_vs(x, truth):
-    mse = float(((x - truth) ** 2).mean())
-    if mse < 1e-20:
-        return 200.0
-    return 10 * math.log10(1.0 / mse)
-
-
-def _resolve_run(cfg, b, psf):
-    """Validate eta, build the filter if wanted, resolve the default p."""
-    h, w = b.shape
-    lam_max = lambda_max_AtA(psf, w, h)
-    if lam_max > 0 and cfg.eta > (1 + 1e-9) / lam_max:
-        raise ValueError(
-            f"eta = {cfg.eta} exceeds 1/lambda_max(A^T A) = {1 / lam_max!r}"
-        )
-    filt = None
-    if cfg.spectral_path and cfg.n > 1:
-        filt = build_filter(spectral_decompose(psf, cfg.eta, w, h), cfg.n)
-    lam_max_W = lambda_max_W(filt) if filt is not None else float(cfg.n)
+def _resolve_p(cfg, plan):
+    """cfg with the default threshold scale p = lambda_max(W_n) filled in."""
     p = cfg.p
     if p is None:
-        p = lam_max_W
-    elif p > lam_max_W * (1 + 1e-6) + 1e-9:
+        p = plan.lambda_max_W
+    elif p > plan.lambda_max_W * (1 + 1e-6) + 1e-9:
         warnings.warn(
-            f"threshold scale p = {p} exceeds lambda_max(W_{cfg.n}) = {lam_max_W}",
+            f"threshold scale p = {p} exceeds lambda_max(W_{cfg.n}) = {plan.lambda_max_W}",
             stacklevel=3,
         )
-    return dataclasses.replace(cfg, p=p), filt
+    return dataclasses.replace(cfg, p=p)
 
 
 def run_solver(cfg, b, psf, x0=None, truth=None):
@@ -259,14 +293,14 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     x0 = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     if x0.shape != b.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs b {b.shape}")
-    cfg, filt = _resolve_run(cfg, b, psf)
-    problem = Problem(psf=psf, b=b, filt=filt)
+    problem = Problem.build(cfg, b, psf)
+    cfg = _resolve_p(cfg, problem.plan)
 
     trace = IterationTrace()
-    state = SolverState(x=x0, x_prev=x0.copy(), y=x0.copy(), alpha=1.0, iter=0)
     if cfg.max_iters == 0:
         return x0, trace
 
+    state = SolverState.start(x0, problem)
     f0 = objective(x0, b, psf, cfg.lam, cfg.wavelet_levels)
     f_prev = f0
     for _ in range(cfg.max_iters):
@@ -277,13 +311,15 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
             trace.diverged = True
             break
         dt = time.perf_counter() - t0
-        fval, data, reg = _objective_terms(state.x, b, psf, cfg.lam, cfg.wavelet_levels)
+        data = _data_term(state, problem)
+        reg = cfg.lam * state.l1
+        fval = data + reg
         if not math.isfinite(fval):
             trace.diverged = True
             break
         psnr_val = None
         if cfg.record_psnr and truth is not None:
-            psnr_val = _psnr_vs(state.x, truth)
+            psnr_val = psnr(state.x, truth)
         trace.records.append(IterationRecord(
             iter=state.iter, objective=fval, data_term=data,
             regularizer=reg, psnr=psnr_val, seconds=dt,

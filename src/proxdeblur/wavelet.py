@@ -154,19 +154,24 @@ def soft_threshold(v, gamma):
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 
-def prox_l1_wavelet(x, gamma, levels):
+def prox_l1_wavelet(x, gamma, levels, with_l1=False):
     """Shrink the wavelet coefficients of x by gamma and transform back.
 
     The coarsest approximation band is left untouched (thresholding it would
-    shift the mean intensity); all detail bands are shrunk.
+    shift the mean intensity); all detail bands are shrunk.  With with_l1
+    the result is (image, l1), l1 being the detail-band l1 of the shrunk
+    coefficients, which is l1_norm_wavelet of the image up to rounding.
     """
     x = _check_dims(x, levels)
     c = _analyze_values(x, levels)
     ah, aw = x.shape[0] >> levels, x.shape[1] >> levels
     keep = c[:ah, :aw].copy()
     c = soft_threshold(c, gamma)
+    c[:ah, :aw] = 0.0
+    l1 = float(np.abs(c).sum()) if with_l1 else None
     c[:ah, :aw] = keep
-    return _synthesize_values(c, levels)
+    out = _synthesize_values(c, levels)
+    return (out, l1) if with_l1 else out
 
 
 def l1_norm_wavelet(x, levels):

@@ -12,7 +12,8 @@ In the DCT eigenbasis W_n acts as the scalar filter
 
 which this module evaluates in a cancellation-free form and applies in
 O(N log N).  The matrix-free n-step recursion is kept as an exact fallback
-for operators with no spectral decomposition.
+for operators with no spectral decomposition.  operator_plan bundles the
+filter with the constants a solver run needs and caches the bundle.
 """
 
 import math
@@ -21,7 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linop import dct2, gradient, idct2
+from .linop import (
+    BuildCache,
+    SpectralDiag,
+    dct2,
+    gradient,
+    idct2,
+    operator_spectrum,
+    psf_key,
+)
 
 __all__ = [
     "MU_CLAMP",
@@ -32,6 +41,8 @@ __all__ = [
     "apply_weighted_gradient_nstep",
     "lambda_max_W",
     "noise_std_amplification",
+    "OperatorPlan",
+    "operator_plan",
 ]
 
 # Below this, mu is insignificant in double precision and phi takes its
@@ -166,3 +177,63 @@ def noise_std_amplification(lambda_max_AtA, lambda_max_W, sigma_w, eta):
     motivating the scaled shrinkage threshold p*lambda*eta.
     """
     return eta * sigma_w * math.sqrt(lambda_max_AtA) * lambda_max_W
+
+
+@dataclass(frozen=True)
+class OperatorPlan:
+    """Everything a solver run needs to know about its operator.
+
+    Built once per (kernel, shape, eta, n) by operator_plan.  With a DCT
+    form (doubly symmetric kernel) lam holds the signed DCT eigenvalues of
+    A, phi the W_n filter at mu = eta lam^2 (1.0 when n = 1) and gain =
+    phi * lam, the factor the DCT-domain step applies to its residual.
+    Without one those three are None and lambda_max_W is n.
+    """
+
+    eta: float
+    n: int
+    lambda_max_AtA: float
+    lambda_max_W: float
+    lam: np.ndarray | None = None
+    phi: np.ndarray | float | None = None
+    gain: np.ndarray | None = None
+
+
+_PLANS = BuildCache(8)
+
+
+def operator_plan(psf, shape, eta, n):
+    """The cached OperatorPlan of psf on (height, width) images.
+
+    Checks the step size against lambda_max(A^T A) and builds the W_n
+    filter with build_filter, whose self-checks run once per plan.
+
+    Raises
+    ------
+    ValueError
+        If eta is not positive or exceeds 1/lambda_max(A^T A).
+    """
+    h, w = shape
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+
+    def build():
+        spec = operator_spectrum(psf, shape)
+        lam_max = spec.lambda_max_AtA
+        if lam_max > 0 and eta > (1 + 1e-9) / lam_max:
+            raise ValueError(f"eta = {eta} exceeds 1/lambda_max(A^T A) = {1 / lam_max!r}")
+        if spec.lam is None:
+            return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max, lambda_max_W=float(n))
+        lam = spec.lam
+        if n == 1:
+            return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max, lambda_max_W=1.0,
+                                lam=lam, phi=1.0, gain=lam)
+        mu = np.clip(eta * lam * lam, 0.0, None)
+        filt = build_filter(SpectralDiag(width=w, height=h, mu=mu, eta=eta), n)
+        gain = filt.phi * lam
+        filt.phi.flags.writeable = gain.flags.writeable = False
+        return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max,
+                            lambda_max_W=lambda_max_W(filt), lam=lam, phi=filt.phi,
+                            gain=gain)
+
+    return _PLANS.get((psf_key(psf), h, w, float(eta), int(n)), build)

@@ -76,7 +76,6 @@ def test_1_solver_iterates_match_dense_oracle():
     psf = make_gaussian_psf(3, 1.0)
     A = densify_blur(psf, w, h)
     ana, syn = densify_wavelet(w, h, levels)
-    spect = spectral_decompose(psf, eta, w, h)
 
     cases = [
         (Variant.ISTA, 1, 1.0),
@@ -91,14 +90,12 @@ def test_1_solver_iterates_match_dense_oracle():
     for variant, n, p in cases:
         cfg = SolverConfig(variant=variant, eta=eta, lam=1e-3, n=n, p=p,
                            max_iters=20, wavelet_levels=levels)
-        filt = build_filter(spect, n) if n > 1 else None
         Wn = dense_Wn(A, eta, n)
         for _ in range(2):
             truth = rng.random((h, w))
             b = blur_apply(psf, truth) + 0.01 * rng.standard_normal((h, w))
-            problem = Problem(psf=psf, b=b, filt=filt)
-            state = SolverState(x=b.copy(), x_prev=b.copy(), y=b.copy(),
-                                alpha=1.0, iter=0)
+            problem = Problem.build(cfg, b, psf)
+            state = SolverState.start(b.copy(), problem)
             xd = b.ravel().copy()
             yd = xd.copy()
             ad = 1.0
@@ -443,7 +440,7 @@ def test_8_transform_suite():
                        p=lambda_max_W(filt), wavelet_levels=levels)
     truth = rng.random((h, w))
     b = blur_apply(psf, truth) + 0.01 * rng.standard_normal((h, w))
-    problem = Problem(psf=psf, b=b, filt=filt)
+    problem = Problem(psf=psf, b=b)
     min_margin = math.inf
     pairs = 1000
     for _ in range(pairs):

@@ -14,13 +14,28 @@ from proxdeblur.pgmio import read_pgm, write_pgm
 PKG_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(proxdeblur.__file__)))
 
 
-def run_cli(*args, cwd=None):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PKG_PARENT, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "proxdeblur", *args],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=300)
+        capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=300)
+
+
+def test_import_does_not_load_scipy_signal_or_stats():
+    # scipy.signal (and the scipy.stats it pulls in) would double the
+    # import time and add about 50 MB of resident memory
+    code = ("import sys, proxdeblur, proxdeblur.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env(), timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def write_cfg(path, **keys):

@@ -1,0 +1,79 @@
+"""The DCT-domain solver step against the spatial operators it replaces."""
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from proxdeblur.linop import Psf, blur_apply, gradient, operator_spectrum
+from proxdeblur.solvers import Problem, SolverConfig, SolverState, efista_step
+from proxdeblur.wavelet import l1_norm_wavelet, prox_l1_wavelet
+from proxdeblur.weighting import apply_weighted_gradient_nstep
+
+
+def symmetric_psf(size, seed):
+    """Random nonnegative kernel, flip-symmetric in both axes."""
+    c = size // 2
+    quarter = np.random.default_rng(seed).uniform(0.05, 1.0, (c + 1, c + 1))
+    fold = np.abs(np.arange(size) - c)
+    taps = quarter[fold][:, fold]
+    return Psf(size=size, taps=taps / taps.sum())
+
+
+def close(got, want, tol):
+    return np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+def one_step(psf, b, y, n, lam, levels):
+    """One efista step from y: the state it leaves (its x is z when lam = 0)
+    and the config it ran with."""
+    eta = 0.9 / operator_spectrum(psf, b.shape).lambda_max_AtA
+    cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=n, p=1.5,
+                       wavelet_levels=levels)
+    problem = Problem.build(cfg, b, psf)
+    assert problem.cb is not None
+    state = efista_step(SolverState.start(y, problem), cfg, problem)
+    return state, cfg
+
+
+sizes = st.sampled_from([1, 3, 5, 7])
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=sizes, h=st.integers(7, 24), w=st.integers(7, 24),
+       n=st.integers(1, 8), seed=seeds)
+@example(size=7, h=9, w=14, n=8, seed=1)
+@example(size=5, h=17, w=23, n=3, seed=2)
+def test_dct_gradient_and_weighted_step_match_spatial(size, h, w, n, seed):
+    psf = symmetric_psf(size, seed)
+    rng = np.random.default_rng(seed)
+    x, b = rng.standard_normal((h, w)), rng.standard_normal((h, w))
+
+    spatial = blur_apply(psf, blur_apply(psf, x) - b)
+    assert close(gradient(psf, x, b), spatial, 1e-10)
+
+    # lam = 0 skips the prox, so the step returns z = y - eta W_n grad f(y)
+    state, cfg = one_step(psf, b, x, n, 0.0, 1)
+    z = x.copy()
+    for _ in range(n):
+        z -= cfg.eta * blur_apply(psf, blur_apply(psf, z) - b)
+    assert close(state.x, z, 1e-10)
+    assert close(state.x, apply_weighted_gradient_nstep(psf, x, b, cfg.eta, n), 1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=sizes, levels=st.integers(1, 2), hk=st.integers(2, 6),
+       wk=st.integers(2, 6), n=st.integers(1, 8), seed=seeds)
+def test_dct_step_matches_nstep_route_and_reports_its_l1(size, levels, hk, wk, n, seed):
+    h, w = hk << levels, wk << levels
+    assume(size <= min(h, w))
+    psf = symmetric_psf(size, seed)
+    rng = np.random.default_rng(seed)
+    x, b = rng.standard_normal((h, w)), rng.standard_normal((h, w))
+    lam = 0.05
+    state, cfg = one_step(psf, b, x, n, lam, levels)
+    z = apply_weighted_gradient_nstep(psf, x, b, cfg.eta, n)
+    want = prox_l1_wavelet(z, cfg.p * lam * cfg.eta, levels)
+    assert close(state.x, want, 1e-10)
+    l1 = l1_norm_wavelet(state.x, levels)
+    assert abs(state.l1 - l1) <= 1e-12 * l1

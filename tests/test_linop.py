@@ -195,6 +195,16 @@ def test_lambda_max_power_iteration_fallback(asymmetric_psf):
     assert lam == pytest.approx(want, rel=1e-6)
 
 
+def test_power_iteration_stays_below_and_near_dense_eigenvalue(asymmetric_psf):
+    # each estimate ||A^T A v|| (unit v) is at most the eigenvalue; the 1e-8
+    # stopping rule leaves it 1.4e-7 below at this size
+    lam = lambda_max_AtA(asymmetric_psf, 16, 16)
+    A = densify_blur(asymmetric_psf, 16, 16).entries
+    want = float(np.linalg.eigvalsh(A.T @ A).max())
+    assert lam <= want * (1 + 1e-12)
+    assert lam >= want * (1 - 1e-6)
+
+
 def test_lambda_max_is_one_for_normalized_symmetric_kernels(psf74):
     # mass preservation under mirrored borders puts the top eigenvalue at 1
     assert lambda_max_AtA(psf74, 64, 64) == pytest.approx(1.0, abs=1e-12)

@@ -113,13 +113,9 @@ def test_dense_step_matches_solver_step(rng, psf31, variant, n, p):
 
     truth = rng.uniform(0, 1, (h, w))
     b = blur_apply(psf31, truth) + 0.01 * rng.standard_normal((h, w))
-    from proxdeblur.linop import spectral_decompose
-    from proxdeblur.weighting import build_filter
+    problem = Problem.build(cfg, b, psf31)
 
-    filt = build_filter(spectral_decompose(psf31, eta, w, h), cfg.n) if cfg.n > 1 else None
-    problem = Problem(psf=psf31, b=b, filt=filt)
-
-    state = SolverState(x=b.copy(), x_prev=b.copy(), y=b.copy(), alpha=1.0, iter=0)
+    state = SolverState.start(b.copy(), problem)
     xd, yd, ad = b.ravel().copy(), b.ravel().copy(), 1.0
     for _ in range(20):
         state = efista_step(state, cfg, problem)

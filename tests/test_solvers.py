@@ -326,3 +326,60 @@ def test_trajectory_divergence_classifier():
     assert not trajectory_diverged([1.0, 0.5, 0.50049])  # within 0.1%
     assert trajectory_diverged([1.0, np.nan])
     assert trajectory_diverged([1.0, 2.0, np.inf])
+
+
+def test_default_config_takes_nstep_path_on_asymmetric_kernel(rng, asymmetric_psf):
+    b = rng.uniform(0, 1, (16, 16))
+    kw = dict(variant="efista", eta=0.9, lam=1e-3, n=4, max_iters=8,
+              wavelet_levels=2)
+    x_default, tr_default = run_solver(SolverConfig(**kw), b, asymmetric_psf)
+    x_nstep, tr_nstep = run_solver(SolverConfig(spectral_path=False, **kw), b,
+                                   asymmetric_psf)
+    assert len(tr_default) == 8
+    assert np.array_equal(x_default, x_nstep)
+    assert tr_default.objectives().tolist() == tr_nstep.objectives().tolist()
+
+
+def test_operator_plan_is_built_once_across_runs_and_threads(monkeypatch, tiny_problem):
+    import sys
+    import threading
+
+    from proxdeblur import linop, weighting
+
+    psf, b = tiny_problem
+    linop._SPECTRA.clear()
+    weighting._PLANS.clear()
+    calls = {"spectral_decompose": 0, "build_filter": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linop, "spectral_decompose",
+                        counted("spectral_decompose", linop.spectral_decompose))
+    monkeypatch.setattr(weighting, "build_filter",
+                        counted("build_filter", weighting.build_filter))
+    kw = dict(lam=1e-3, max_iters=2, wavelet_levels=2)
+    results = []
+    threads = [threading.Thread(
+        target=lambda p: results.append(run_solver(
+            SolverConfig(variant="efista", n=8, p=p, **kw), b, psf)), args=(p,))
+        for p in (None, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    run_solver(SolverConfig(variant="fista", **kw), b, psf)
+    run_solver(SolverConfig(variant="ista", **kw), b, psf)
+    assert calls == {"spectral_decompose": 1, "build_filter": 1}
+    assert weighting.operator_plan(psf, b.shape, 1.0, 8) is weighting.operator_plan(
+        psf, b.shape, 1.0, 8)
