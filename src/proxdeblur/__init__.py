@@ -39,7 +39,6 @@ from .wavelet import (
     synthesize,
 )
 from .solvers import (
-    DivergenceError,
     IterationRecord,
     IterationTrace,
     Problem,
@@ -97,7 +96,6 @@ __all__ = [
     "prox_l1_wavelet",
     "soft_threshold",
     "synthesize",
-    "DivergenceError",
     "IterationRecord",
     "IterationTrace",
     "Problem",

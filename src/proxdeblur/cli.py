@@ -6,6 +6,7 @@ are still written so the failure can be inspected).
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -16,7 +17,6 @@ from .experiments import (
     STANDARD_IMAGES,
     Scenario,
     add_awgn,
-    default_threshold_scale,
     format_trace_rows,
     load_image,
     psnr,
@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .linop import blur_apply, make_gaussian_psf
 from .pgmio import read_pgm, write_pgm
-from .solvers import SolverConfig, Variant, run_solver, trajectory_diverged
+from .solvers import SolverConfig, Variant, run_solver, runs_diverged
 
 __all__ = ["ConfigError", "parse_config", "main",
            "cmd_deblur", "cmd_curves", "cmd_sweep", "cmd_table"]
@@ -156,13 +156,12 @@ def _image_source(cfg):
     return os.path.basename(image)[:-4], os.path.dirname(image) or "."
 
 
-def _variant_of(cfg):
+def _variant_of(name):
     try:
-        return Variant(cfg["variant"])
+        return Variant(name)
     except ValueError:
         valid = ", ".join(v.value for v in Variant)
-        raise ConfigError(
-            f"unknown variant '{cfg['variant']}' (valid: {valid})") from None
+        raise ConfigError(f"unknown variant '{name}' (valid: {valid})") from None
 
 
 def _scenario(cfg, image_id):
@@ -185,32 +184,27 @@ def _scenario(cfg, image_id):
 def cmd_deblur(cfg, quiet=False):
     """Blur, add noise, solve once, write blurred/deblurred PGMs + trace CSV."""
     image_id, images_dir = _image_source(cfg)
-    variant = _variant_of(cfg)
+    variant = _variant_of(cfg["variant"])
+    scenario = _scenario(cfg, image_id)
     truth = load_image(image_id, images_dir, cfg["size"])
     psf = make_gaussian_psf(cfg["psf_size"], cfg["psf_sigma"])
-    sigma = cfg["noise_sigma"]
-    lam = cfg["lambda"] if cfg["lambda"] is not None else 10.0 * sigma**2
     solver_cfg = SolverConfig(
-        variant=variant, eta=cfg["eta"], lam=lam, n=cfg["n"], p=cfg["p"],
-        max_iters=cfg["iterations"], wavelet_levels=wavelet_depth(truth.shape),
-        record_psnr=True,
+        variant=variant, eta=cfg["eta"], lam=scenario.resolved_lambda(), n=cfg["n"],
+        p=cfg["p"], max_iters=cfg["iterations"],
+        wavelet_levels=wavelet_depth(truth.shape), record_psnr=True,
     )
-    n, p = solver_cfg.n, solver_cfg.p
-    if p is None:
-        p = default_threshold_scale(psf, truth.shape, solver_cfg.eta, n)
-    b = add_awgn(blur_apply(psf, truth), sigma, cfg["seed"])
+    b = add_awgn(blur_apply(psf, truth), cfg["noise_sigma"], cfg["seed"])
     x, trace = run_solver(solver_cfg, b, psf, x0=b, truth=truth)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     write_pgm(os.path.join(out, "blurred.pgm"), b)
     write_pgm(os.path.join(out, "deblurred.pgm"), x)
-    write_csv(os.path.join(out, "trace.csv"), CURVE_HEADER,
-              format_trace_rows(trace, variant.value, n, p, 0))
-    diverged = trace.diverged or trajectory_diverged(trace.objectives())
+    write_csv(os.path.join(out, "trace.csv"), CURVE_HEADER, format_trace_rows(trace, 0))
+    diverged = runs_diverged([trace.diverged], trace.objectives())
     if not quiet:
         final = trace.records[-1].objective if trace.records else float("nan")
         print(
-            f"{variant.value} n={n} p={p:g} iters={len(trace)}"
+            f"{variant.value} n={trace.config.n} p={trace.config.p:g} iters={len(trace)}"
             f" objective={final:.6g} psnr={psnr(x, truth):.2f}dB"
             f" diverged={'yes' if diverged else 'no'}"
         )
@@ -222,29 +216,23 @@ def cmd_curves(cfg, quiet=False):
     image_id, images_dir = _image_source(cfg)
     scenario = _scenario(cfg, image_id)
     for name in cfg["variants"]:
-        try:
-            Variant(name)
-        except ValueError:
-            valid = ", ".join(v.value for v in Variant)
-            raise ConfigError(
-                f"unknown variant '{name}' (valid: {valid})") from None
+        _variant_of(name)
     results = run_convergence_test(
         scenario, cfg["variants"], cfg["n_values"],
         out_dir=cfg["out"], images_dir=images_dir)
     exit_code = 0
     for variant, per_n in results.items():
         for n, data in per_n.items():
-            hard = sum(bool(d) for d in data["diverged"])
-            curve = data["mean_objective"]
-            curve = curve[~np.isnan(curve)]
-            soft = trajectory_diverged(curve)
-            if hard or soft:
+            diverged = runs_diverged(data["diverged"], data["mean_objective"])
+            if diverged:
                 exit_code = 2
             if not quiet:
+                curve = data["mean_objective"]
+                curve = curve[~np.isnan(curve)]
                 tail = curve[-1] if curve.size else float("nan")
                 print(f"{variant} n={n}: {scenario.trials} trials,"
                       f" final mean objective {tail:.6g}"
-                      f"{', DIVERGED' if hard or soft else ''}")
+                      f"{', DIVERGED' if diverged else ''}")
     if not quiet:
         print(f"curves written to {cfg['out']}")
     return exit_code
@@ -283,16 +271,10 @@ def cmd_table(cfg, quiet=False):
             path = os.path.join(images_dir, f"{image_id}.pgm")
             if not os.path.exists(path):
                 raise ConfigError(f"test image not found: {path}")
-    scenarios = []
-    for image_id in cfg["images"]:
-        for sigma, k in zip(cfg["noise_levels"], cfg["K_values"]):
-            scenarios.append(Scenario(
-                image_id=image_id, noise_sigma=sigma, K=k,
-                psf_size=cfg["psf_size"], psf_sigma=cfg["psf_sigma"],
-                eta=cfg["eta"], lam=cfg["lambda"], n=cfg["n"],
-                iter_divisor=cfg["iter_divisor"], trials=cfg["trials"],
-                seed=cfg["seed"], image_size=cfg["size"],
-            ))
+    scenarios = [
+        dataclasses.replace(_scenario(cfg, image_id), noise_sigma=sigma, K=k)
+        for image_id in cfg["images"]
+        for sigma, k in zip(cfg["noise_levels"], cfg["K_values"])]
     table = run_psnr_table(scenarios, out_dir=cfg["out"], images_dir=images_dir)
     if not quiet:
         print(table.render())

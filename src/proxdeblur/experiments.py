@@ -16,8 +16,7 @@ import numpy as np
 
 from .linop import blur_apply, idct2, make_gaussian_psf
 from .pgmio import read_pgm
-from .solvers import SolverConfig, Variant, psnr, run_solver, trajectory_diverged
-from .weighting import operator_plan
+from .solvers import SolverConfig, Variant, psnr, run_solver, runs_diverged
 
 __all__ = [
     "STANDARD_IMAGES",
@@ -33,7 +32,6 @@ __all__ = [
     "synthetic_image",
     "load_image",
     "wavelet_depth",
-    "default_threshold_scale",
     "run_convergence_test",
     "run_p_sweep",
     "run_psnr_table",
@@ -145,12 +143,6 @@ def wavelet_depth(shape, cap=8):
     return d
 
 
-def default_threshold_scale(psf, shape, eta, n):
-    """The default threshold scale p = lambda_max(W_n), from the cached
-    operator plan that run_solver uses for the same setup."""
-    return operator_plan(psf, shape, eta, n).lambda_max_W
-
-
 @dataclass
 class Scenario:
     """One benchmark setting: image, blur, noise level and budgets.
@@ -211,13 +203,15 @@ def _g17(v):
     return format(float(v), ".17g")
 
 
-def format_trace_rows(trace, variant, n, p, trial):
-    """CSV rows (no header) for one trace, per the convergence schema."""
+def format_trace_rows(trace, trial):
+    """CSV rows (no header) for one trace, per the convergence schema, with
+    variant, n and p from the trace's resolved config."""
+    cfg = trace.config
     rows = []
     for rec in trace.records:
         ps = "" if rec.psnr is None else _g17(rec.psnr)
         rows.append(
-            f"{rec.iter},{variant},{n},{_g17(p)},{trial},"
+            f"{rec.iter},{cfg.variant.value},{cfg.n},{_g17(cfg.p)},{trial},"
             f"{_g17(rec.objective)},{ps},{_g17(rec.seconds)}"
         )
     return rows
@@ -265,16 +259,13 @@ def run_convergence_test(scenario, variants, n_values, out_dir=None,
     results = {}
     for variant in variants:
         variant = Variant(variant)
-        ns = list(n_values) if variant in (Variant.IFISTA, Variant.EFISTA) else [1]
+        # the distinct orders SolverConfig resolves n_values to for this variant
+        ns = dict.fromkeys(SolverConfig(variant=variant, n=n).n for n in n_values)
         per_n = {}
         rows = []
         for n in ns:
-            if variant is Variant.EFISTA:
-                p = default_threshold_scale(psf, truth.shape, scenario.eta, n)
-            else:
-                p = 1.0
             runs = _map_trials(
-                lambda t: _run_trial(truth, psf, scenario, variant, n, p, scenario.K, t),
+                lambda t: _run_trial(truth, psf, scenario, variant, n, None, scenario.K, t),
                 scenario.trials, workers)
             traces = [trace for _, trace in runs]
             obj = _trace_matrix(traces, scenario.K, "objective")
@@ -289,7 +280,8 @@ def run_convergence_test(scenario, variants, n_values, out_dir=None,
                 "diverged": [tr.diverged for tr in traces],
             }
             for t, trace in enumerate(traces):
-                rows.extend(format_trace_rows(trace, variant.value, n, p, t))
+                rows.extend(format_trace_rows(trace, t))
+            p = traces[0].config.p
             for k in range(scenario.K):
                 if np.isnan(mean_obj[k]):
                     continue
@@ -361,8 +353,7 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None,
             scenario.trials, workers)
         traces = [trace for _, trace in runs]
         mean_obj = _nanmean_rows(_trace_matrix(traces, scenario.K, "objective"))
-        curve = mean_obj[~np.isnan(mean_obj)]
-        diverged = any(tr.diverged for tr in traces) or trajectory_diverged(curve)
+        diverged = runs_diverged([tr.diverged for tr in traces], mean_obj)
         fprobe = float(mean_obj[probe_iter - 1])
         result.points.append(PSweepPoint(p=float(p), objective=fprobe, diverged=diverged))
     if out_dir is not None:
@@ -417,15 +408,11 @@ def run_psnr_table(scenarios, out_dir=None, images_dir=None, workers=None):
         truth = load_image(sc.image_id, images_dir, sc.image_size)
         psf = make_gaussian_psf(sc.psf_size, sc.psf_sigma)
         kw = max(sc.K // sc.iter_divisor, 1) if sc.K > 0 else 0
-        p_def = default_threshold_scale(psf, truth.shape, sc.eta, sc.n)
-        algs = [
-            ("FISTA", Variant.FISTA, 1, 1.0, sc.K),
-            ("IFISTA", Variant.IFISTA, sc.n, 1.0, kw),
-            ("EFISTA", Variant.EFISTA, sc.n, p_def, kw),
-        ]
-        for name, variant, n, p, iters in algs:
+        algs = [("FISTA", Variant.FISTA, sc.K), ("IFISTA", Variant.IFISTA, kw),
+                ("EFISTA", Variant.EFISTA, kw)]
+        for name, variant, iters in algs:
             runs = _map_trials(
-                lambda t: _run_trial(truth, psf, sc, variant, n, p, iters, t),
+                lambda t: _run_trial(truth, psf, sc, variant, sc.n, None, iters, t),
                 sc.trials, workers)
             psnrs = np.array([psnr(x, truth) for x, _ in runs])
             secs = np.array([sum(rec.seconds for rec in tr.records) for _, tr in runs])

@@ -38,7 +38,6 @@ __all__ = [
     "IterationRecord",
     "IterationTrace",
     "Problem",
-    "DivergenceError",
     "objective",
     "psnr",
     "momentum_alpha",
@@ -50,6 +49,7 @@ __all__ = [
     "rate_check",
     "RateReport",
     "trajectory_diverged",
+    "runs_diverged",
 ]
 
 
@@ -60,14 +60,6 @@ class Variant(str, Enum):
     EFISTA = "efista"
 
 
-class DivergenceError(RuntimeError):
-    """Iterates became non-finite; carries the trace when raised by run_solver."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
 @dataclass
 class SolverConfig:
     """Parameters of one solver run.
@@ -76,8 +68,6 @@ class SolverConfig:
     from the actual spectrum when the run starts.  For ISTA and FISTA the
     order n is forced to 1, and for everything but EFISTA the threshold
     scale p is forced to 1 (those reductions define the variants).
-    spectral_path = True runs the step in the DCT domain when the kernel
-    has a DCT form; False, or a kernel without one, takes the n-step path.
     """
 
     variant: Variant
@@ -88,7 +78,6 @@ class SolverConfig:
     max_iters: int = 50
     wavelet_levels: int = 8
     record_psnr: bool = False
-    spectral_path: bool = True
     tol: float | None = None
     divergence_factor: float = 1e6
 
@@ -113,7 +102,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Problem:
     """What efista_step needs besides the iterates: kernel, data, the
-    operator plan, and cb = dct2(b) when the step runs in the DCT domain."""
+    operator plan, and cb = dct2(b) when the step runs in the DCT domain,
+    which it does exactly when the plan has a DCT form."""
 
     psf: object
     b: np.ndarray
@@ -125,7 +115,7 @@ class Problem:
         """Problem for a run of cfg on data b, with the cached operator plan."""
         b = np.asarray(b, dtype=float)
         plan = operator_plan(psf, b.shape, cfg.eta, cfg.n)
-        cb = dct2(b) if cfg.spectral_path and plan.lam is not None else None
+        cb = dct2(b) if plan.lam is not None else None
         return cls(psf=psf, b=b, plan=plan, cb=cb)
 
 
@@ -167,10 +157,12 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration records, plus a divergence tag for runs that blew up."""
+    """Per-iteration records, a divergence tag for runs that blew up, and
+    the run's config with every default resolved (p included)."""
 
     records: list = field(default_factory=list)
     diverged: bool = False
+    config: SolverConfig | None = None
 
     def objectives(self):
         return np.array([r.objective for r in self.records])
@@ -253,8 +245,6 @@ def efista_step(state, cfg, problem):
         x_new, state.l1 = prox_l1_wavelet(z, gamma, cfg.wavelet_levels, with_l1=True)
     else:
         x_new = z
-    if not np.all(np.isfinite(x_new)):
-        raise DivergenceError(f"iterate became non-finite at iteration {state.iter + 1}")
     cx_new = None if problem.cb is None else dct2(x_new)
     alpha_new = momentum_alpha(state.alpha)
     if cfg.variant is Variant.ISTA:
@@ -284,19 +274,29 @@ def _resolve_p(cfg, plan):
 def run_solver(cfg, b, psf, x0=None, truth=None):
     """Run max_iters solver steps from x0 (default: the data b itself).
 
-    Returns (x, trace).  A run whose objective explodes past
-    divergence_factor times its initial value, or goes non-finite, stops
-    early with trace.diverged set rather than raising.  With cfg.tol set,
-    the run also stops once the relative objective change drops below tol.
+    Returns (x, trace): x is the iterate of the last record (x0 when there
+    is none) and trace.config the config with p resolved.  A run whose
+    objective explodes past divergence_factor times its initial value, or
+    goes non-finite, stops early with trace.diverged set rather than
+    raising; a non-finite iterate is not recorded.  With cfg.tol set, the
+    run also stops once the relative objective change drops below tol.
+
+    Raises
+    ------
+    ValueError
+        If b or x0 is not finite, or their shapes differ.
     """
     b = np.asarray(b, dtype=float)
     x0 = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    for name, arr in (("b", b), ("x0", x0)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} has non-finite entries")
     if x0.shape != b.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs b {b.shape}")
     problem = Problem.build(cfg, b, psf)
     cfg = _resolve_p(cfg, problem.plan)
 
-    trace = IterationTrace()
+    trace = IterationTrace(config=cfg)
     if cfg.max_iters == 0:
         return x0, trace
 
@@ -304,19 +304,16 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     f0 = objective(x0, b, psf, cfg.lam, cfg.wavelet_levels)
     f_prev = f0
     for _ in range(cfg.max_iters):
+        x_prev = state.x  # the step rebinds state.x, never writes into it
         t0 = time.perf_counter()
-        try:
-            state = efista_step(state, cfg, problem)
-        except DivergenceError:
-            trace.diverged = True
-            break
+        state = efista_step(state, cfg, problem)
         dt = time.perf_counter() - t0
         data = _data_term(state, problem)
         reg = cfg.lam * state.l1
         fval = data + reg
         if not math.isfinite(fval):
             trace.diverged = True
-            break
+            return x_prev, trace
         psnr_val = None
         if cfg.record_psnr and truth is not None:
             psnr_val = psnr(state.x, truth)
@@ -359,8 +356,7 @@ def surrogate_Q(x, z, problem, cfg, filt):
     g = gradient(psf, z, b)
     lin = float(((x - z) * g).sum())
     quad = wnorm_sq(x - z, filt) / (2 * cfg.eta)
-    p = 1.0 if cfg.p is None else cfg.p
-    return fz + lin + quad + p * cfg.lam * l1_norm_wavelet(x, cfg.wavelet_levels)
+    return fz + lin + quad + cfg.p * cfg.lam * l1_norm_wavelet(x, cfg.wavelet_levels)
 
 
 @dataclass
@@ -429,3 +425,14 @@ def trajectory_diverged(objectives, rel_tol=1e-3):
         return True
     fmin = float(f.min())
     return (float(f[-1]) - fmin) / max(fmin, 1e-300) > rel_tol
+
+
+def runs_diverged(hard_flags, mean_objective):
+    """The divergence verdict over a set of runs of one setting.
+
+    True when any run was stopped by the hard guard (trace.diverged), or
+    when the mean objective curve, NaN where no run has a record, ends more
+    than 0.1% above its own minimum.
+    """
+    f = np.asarray(mean_objective, dtype=float)
+    return any(hard_flags) or trajectory_diverged(f[~np.isnan(f)])

@@ -160,6 +160,17 @@ def test_curves_writes_per_variant_csv(tmp_path):
                      "curves_lena_sigma0.01_fista.csv"]
 
 
+def test_curves_unknown_variant_exits_one_naming_it(tmp_path):
+    cfg = write_cfg(tmp_path / "c.cfg",
+                    image="synthetic:lena", size=32, noise_sigma=0.01,
+                    iterations=3, trials=1, variants="fista, bogus",
+                    n_values="8", out=str(tmp_path / "o"))
+    res = run_cli("curves", "--config", cfg)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "'bogus'" in res.stderr
+    assert not (tmp_path / "o").exists()  # rejected before any run
+
+
 def test_table_empty_image_list_exits_one(tmp_path):
     cfg = write_cfg(tmp_path / "t.cfg", images="", out=str(tmp_path / "o"))
     res = run_cli("table", "--config", cfg)

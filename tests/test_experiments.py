@@ -11,7 +11,6 @@ from proxdeblur.experiments import (
     PSweepPoint,
     Scenario,
     add_awgn,
-    default_threshold_scale,
     load_image,
     psnr,
     run_convergence_test,
@@ -20,7 +19,9 @@ from proxdeblur.experiments import (
     synthetic_image,
     wavelet_depth,
 )
+from proxdeblur.linop import make_gaussian_psf
 from proxdeblur.pgmio import write_pgm
+from proxdeblur.solvers import SolverConfig, run_solver
 
 
 def _strip_seconds(path):
@@ -100,9 +101,15 @@ def test_load_image_fallback_and_explicit_dir(tmp_path):
     assert np.abs(loaded - img).max() < 1e-4
 
 
+def default_p(psf, shape, n):
+    """The threshold scale run_solver resolves p = None to (efista, eta 1)."""
+    cfg = SolverConfig(variant="efista", n=n, max_iters=0)
+    return run_solver(cfg, np.zeros(shape), psf)[1].config.p
+
+
 def test_default_threshold_scale(psf74):
-    assert default_threshold_scale(psf74, (64, 64), 1.0, 1) == 1.0
-    lam = default_threshold_scale(psf74, (256, 256), 1.0, 8)
+    assert default_p(psf74, (64, 64), 1) == 1.0
+    lam = default_p(psf74, (256, 256), 8)
     assert lam == pytest.approx(8.0, abs=1e-9)
 
 
@@ -147,6 +154,12 @@ def test_convergence_structure_and_csv(small_scenario, tmp_path):
     with open(ecsv) as f:
         elines = f.read().splitlines()
     assert len(elines) == 1 + 2 * (2 * 5 + 5)     # two orders in one file
+    # the p column: 1 for fista, the resolved default lambda_max(W_n) for efista
+    psf = make_gaussian_psf(small_scenario.psf_size, small_scenario.psf_sigma)
+    want = {n: default_p(psf, (32, 32), n) for n in (2, 8)}
+    assert {float(ln.split(",")[3]) for ln in lines[1:]} == {1.0}
+    assert all(float(ln.split(",")[3]) == want[int(ln.split(",")[2])] for ln in elines[1:])
+    assert want[8] > 1.0
 
 
 def test_convergence_csv_bytes_deterministic(small_scenario, tmp_path):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from proxdeblur.linop import gradient, spectral_decompose
+from proxdeblur.linop import blur_apply, gradient, spectral_decompose
 from proxdeblur.solvers import (
     Problem,
     SolverConfig,
+    SolverState,
     Variant,
     efista_step,
     momentum_alpha,
@@ -26,8 +27,6 @@ from proxdeblur.weighting import build_filter, lambda_max_W
 @pytest.fixture
 def tiny_problem(rng, psf31):
     truth = rng.uniform(0, 1, (16, 16))
-    from proxdeblur.linop import blur_apply
-
     b = blur_apply(psf31, truth) + 0.01 * rng.standard_normal((16, 16))
     return psf31, b
 
@@ -163,6 +162,47 @@ def test_nonfinite_iterates_flag_divergence(rng, psf31):
     assert trace.diverged
 
 
+@pytest.mark.parametrize("arg", ["b", "x0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_input_is_rejected_before_the_plan(monkeypatch, tiny_problem, arg, bad):
+    from proxdeblur import solvers
+
+    psf, b = tiny_problem
+    inputs = {"b": b.copy(), "x0": b.copy()}
+    inputs[arg][3, 5] = bad
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("operator plan built for a non-finite input")
+
+    monkeypatch.setattr(solvers, "operator_plan", no_plan)
+    with pytest.raises(ValueError, match=rf"^{arg} has non-finite"):
+        run_solver(SolverConfig(variant="efista", lam=1e-3, n=8, max_iters=5,
+                                wavelet_levels=2), inputs["b"], psf, x0=inputs["x0"])
+
+
+@pytest.mark.parametrize("kernel", ["psf31", "asymmetric_psf"])
+def test_nonfinite_stop_returns_last_recorded_iterate(monkeypatch, request, rng, kernel):
+    # the 4th prox returns NaN: the run keeps 3 records and x is the 3rd iterate
+    from proxdeblur import solvers
+
+    psf = request.getfixturevalue(kernel)
+    b = rng.uniform(0, 1, (16, 16))
+    cfg = dict(variant="efista", eta=0.9, lam=1e-3, n=4, wavelet_levels=2)
+    prox, calls = solvers.prox_l1_wavelet, []
+
+    def poisoned(z, *args, **kwargs):
+        calls.append(None)
+        return prox(np.full_like(z, np.nan) if len(calls) == 4 else z, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "prox_l1_wavelet", poisoned)
+    x, trace = run_solver(SolverConfig(max_iters=10, **cfg), b, psf)
+    monkeypatch.undo()
+    assert trace.diverged and len(trace) == 3
+    x_ref, tr_ref = run_solver(SolverConfig(max_iters=len(trace), **cfg), b, psf)
+    assert np.array_equal(x, x_ref)
+    assert trace.objectives().tolist() == tr_ref.objectives().tolist()
+
+
 def test_step_size_validation(tiny_problem):
     psf, b = tiny_problem
     with pytest.raises(ValueError):
@@ -190,13 +230,27 @@ def test_default_p_resolves_to_filter_gain(tiny_problem):
     assert np.array_equal(x_auto, x_explicit)
 
 
+def nstep_route(cfg, b, psf):
+    """run_solver's loop on the matrix-free n-step route: a Problem built
+    without cb, from x0 = b, for a config with p resolved.  Returns the final
+    iterate and the objectives as run_solver computes them on that route."""
+    problem = Problem(psf=psf, b=b)
+    state = SolverState.start(b.copy(), problem)
+    objectives = []
+    for _ in range(cfg.max_iters):
+        state = efista_step(state, cfg, problem)
+        r = blur_apply(psf, state.x) - b
+        objectives.append(0.5 * float((r * r).sum()) + cfg.lam * state.l1)
+    return state.x, np.array(objectives)
+
+
 def test_spectral_and_nstep_routes_agree(tiny_problem):
     psf, b = tiny_problem
     kw = dict(variant="ifista", lam=1e-3, n=4, max_iters=10, wavelet_levels=2)
-    x_s, tr_s = run_solver(SolverConfig(spectral_path=True, **kw), b, psf)
-    x_n, tr_n = run_solver(SolverConfig(spectral_path=False, **kw), b, psf)
+    x_s, tr_s = run_solver(SolverConfig(**kw), b, psf)
+    x_n, obj_n = nstep_route(tr_s.config, b, psf)
     assert np.abs(x_s - x_n).max() < 1e-8
-    assert np.abs(tr_s.objectives() - tr_n.objectives()).max() < 1e-8
+    assert np.abs(tr_s.objectives() - obj_n).max() < 1e-8
 
 
 def test_tol_stops_early(tiny_problem):
@@ -274,7 +328,6 @@ def test_surrogate_classic_form_at_order_one(rng, psf31):
                        wavelet_levels=levels)
     x = rng.standard_normal((16, 16))
     z = rng.standard_normal((16, 16))
-    from proxdeblur.linop import blur_apply
     from proxdeblur.wavelet import l1_norm_wavelet
 
     rz = blur_apply(psf31, z) - b
@@ -333,11 +386,10 @@ def test_default_config_takes_nstep_path_on_asymmetric_kernel(rng, asymmetric_ps
     kw = dict(variant="efista", eta=0.9, lam=1e-3, n=4, max_iters=8,
               wavelet_levels=2)
     x_default, tr_default = run_solver(SolverConfig(**kw), b, asymmetric_psf)
-    x_nstep, tr_nstep = run_solver(SolverConfig(spectral_path=False, **kw), b,
-                                   asymmetric_psf)
+    x_nstep, obj_nstep = nstep_route(tr_default.config, b, asymmetric_psf)
     assert len(tr_default) == 8
     assert np.array_equal(x_default, x_nstep)
-    assert tr_default.objectives().tolist() == tr_nstep.objectives().tolist()
+    assert tr_default.objectives().tolist() == obj_nstep.tolist()
 
 
 def test_operator_plan_is_built_once_across_runs_and_threads(monkeypatch, tiny_problem):
