@@ -111,8 +111,8 @@ def _defaults():
 
 
 def parse_config(path):
-    """Parse a key = value config file; unknown keys and bad values are
-    rejected with the offending line number."""
+    """Parse a key = value config file; unknown keys, bad values and empty
+    lists are rejected with the offending line number."""
     cfg = _defaults()
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -135,6 +135,8 @@ def parse_config(path):
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{path}:{lineno}: bad value {value!r} for '{key}'") from None
+        if cfg[key] == []:
+            raise ConfigError(f"{path}:{lineno}: empty list for '{key}'")
     return cfg
 
 
@@ -257,8 +259,6 @@ def cmd_sweep(cfg, quiet=False):
 
 def cmd_table(cfg, quiet=False):
     """Averaged PSNR table across images and noise levels."""
-    if not cfg["images"]:
-        raise ConfigError("empty image list")
     if len(cfg["noise_levels"]) != len(cfg["K_values"]):
         raise ConfigError(
             f"noise_levels has {len(cfg['noise_levels'])} entries but"

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .linop import blur_apply, dct2, gradient, idct2
-from .wavelet import l1_norm_wavelet, prox_l1_wavelet
+from .wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet
 from .weighting import apply_weighted_gradient_nstep, operator_plan
 
 __all__ = [
@@ -102,21 +102,24 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Problem:
     """What efista_step needs besides the iterates: kernel, data, the
-    operator plan, and cb = dct2(b) when the step runs in the DCT domain,
-    which it does exactly when the plan has a DCT form."""
+    operator plan, cb = dct2(b) when the step runs in the DCT domain,
+    which it does exactly when the plan has a DCT form, and the run's own
+    wavelet workspace (None: each prox call makes a fresh one)."""
 
     psf: object
     b: np.ndarray
     plan: object = None
     cb: np.ndarray | None = None
+    workspace: LiftingWorkspace | None = None
 
     @classmethod
     def build(cls, cfg, b, psf):
-        """Problem for a run of cfg on data b, with the cached operator plan."""
+        """Problem for a run of cfg on data b, with the cached operator plan
+        and a workspace of its own."""
         b = np.asarray(b, dtype=float)
         plan = operator_plan(psf, b.shape, cfg.eta, cfg.n)
         cb = dct2(b) if plan.lam is not None else None
-        return cls(psf=psf, b=b, plan=plan, cb=cb)
+        return cls(psf=psf, b=b, plan=plan, cb=cb, workspace=LiftingWorkspace(b.shape))
 
 
 @dataclass
@@ -242,7 +245,8 @@ def efista_step(state, cfg, problem):
         z = apply_weighted_gradient_nstep(problem.psf, y, problem.b, cfg.eta, cfg.n)
     gamma = cfg.p * cfg.lam * cfg.eta
     if gamma > 0:
-        x_new, state.l1 = prox_l1_wavelet(z, gamma, cfg.wavelet_levels, with_l1=True)
+        x_new, state.l1 = prox_l1_wavelet(z, gamma, cfg.wavelet_levels, with_l1=True,
+                                          workspace=problem.workspace)
     else:
         x_new = z
     cx_new = None if problem.cb is None else dct2(x_new)

@@ -171,6 +171,21 @@ def test_curves_unknown_variant_exits_one_naming_it(tmp_path):
     assert not (tmp_path / "o").exists()  # rejected before any run
 
 
+@pytest.mark.parametrize("command,extra,empty_key,value", [
+    ("curves", dict(variants="fista, efista"), "n_values", ""),
+    ("sweep", dict(n=8, probe_iter=3), "p_values", " , "),
+])
+def test_empty_list_key_exits_one_naming_it(tmp_path, command, extra, empty_key, value):
+    keys = dict(image="synthetic:lena", size=32, noise_sigma=0.01, iterations=3,
+                trials=1, out=str(tmp_path / "o"), **extra)
+    keys[empty_key] = value  # the last line of the file
+    cfg = write_cfg(tmp_path / "c.cfg", **keys)
+    res = run_cli(command, "--config", cfg)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert f":{len(keys)}: empty list for '{empty_key}'" in res.stderr
+    assert not (tmp_path / "o").exists()  # rejected before any run
+
+
 def test_table_empty_image_list_exits_one(tmp_path):
     cfg = write_cfg(tmp_path / "t.cfg", images="", out=str(tmp_path / "o"))
     res = run_cli("table", "--config", cfg)

@@ -435,3 +435,36 @@ def test_operator_plan_is_built_once_across_runs_and_threads(monkeypatch, tiny_p
     assert calls == {"spectral_decompose": 1, "build_filter": 1}
     assert weighting.operator_plan(psf, b.shape, 1.0, 8) is weighting.operator_plan(
         psf, b.shape, 1.0, 8)
+
+
+def test_concurrent_runs_match_serial_runs(rng, psf52):
+    # each run owns its wavelet workspace: threads running at once, more of
+    # them than cores and switching every microsecond, must give the same
+    # bits as the same runs one after another
+    import sys
+    import threading
+
+    truth = rng.uniform(0, 1, (64, 64))
+    blurred = blur_apply(psf52, truth)
+    inputs = [blurred + 0.01 * rng.standard_normal(truth.shape) for _ in range(4)]
+    cfg = SolverConfig(variant="efista", n=8, lam=1e-3, max_iters=8, wavelet_levels=6)
+    serial = [run_solver(cfg, b, psf52) for b in inputs]
+    results = [None] * len(inputs)
+
+    def work(i):
+        results[i] = run_solver(cfg, inputs[i], psf52)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (x, trace), (x_serial, trace_serial) in zip(results, serial):
+        assert np.array_equal(x, x_serial)
+        assert np.array_equal(trace.objectives(), trace_serial.objectives())

@@ -10,6 +10,7 @@ from proxdeblur.oracle import (
     lasso_coordinate_descent,
 )
 from proxdeblur.wavelet import (
+    LiftingWorkspace,
     WaveletCoeffs,
     analyze,
     l1_norm_wavelet,
@@ -46,15 +47,83 @@ def test_affine_images_have_zero_detail(rng):
 
 
 def test_matches_scalar_reference(rng):
+    # the numpy lifting does the scalar reference's arithmetic, element by
+    # element in the same order, so the results are equal, not just close
     for shape, levels in [((8, 8), 2), ((16, 16), 3), ((8, 16), 2)]:
         x = rng.standard_normal(shape)
         fast = analyze(x, levels).values
         slow = _scalar_analyze(x, levels)
-        assert np.abs(fast - slow).max() < 1e-10
+        assert np.array_equal(fast, slow)
         c = rng.standard_normal(shape)
         fast_inv = synthesize(WaveletCoeffs(shape[1], shape[0], levels, c))
         slow_inv = _scalar_synthesize(c, levels)
-        assert np.abs(fast_inv - slow_inv).max() < 1e-10
+        assert np.array_equal(fast_inv, slow_inv)
+
+
+def scalar_prox(x, gamma, levels):
+    """Scalar analyze -> soft_threshold of the detail bands -> scalar
+    synthesize; returns (image, detail-band l1 of the shrunk coefficients)."""
+    c = _scalar_analyze(x, levels)
+    ah, aw = x.shape[0] >> levels, x.shape[1] >> levels
+    shrunk = soft_threshold(c, gamma)
+    shrunk[:ah, :aw] = 0.0
+    l1 = float(np.abs(shrunk).sum())
+    shrunk[:ah, :aw] = c[:ah, :aw]
+    return _scalar_synthesize(shrunk, levels), l1
+
+
+def workspace_synthesize(ws, c, levels):
+    np.copyto(ws.coeffs, c)
+    return ws.synthesize(levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(levels=st.integers(1, 4), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       gamma=st.sampled_from([0.0, 1e-3, 0.5, 10.0]), seed=st.integers(0, 2**32 - 1))
+def test_workspace_lifting_equals_scalar_pipeline(levels, rows, cols, gamma, seed):
+    # non-square shapes down to 1-sample bands at the coarsest level
+    # (2x4 at one level, 8x32 at three, ...); one workspace for all calls
+    shape = (rows << levels, cols << levels)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    ws = LiftingWorkspace(shape)
+    coeffs = _scalar_analyze(x, levels)
+    assert np.array_equal(ws.analyze(x, levels), coeffs)
+    detail = coeffs.copy()
+    detail[:shape[0] >> levels, :shape[1] >> levels] = 0.0
+    assert ws.detail_l1(levels) == float(np.abs(detail).sum())
+    assert l1_norm_wavelet(x, levels) == float(np.abs(detail).sum())
+    c = rng.standard_normal(shape)
+    assert np.array_equal(workspace_synthesize(ws, c, levels), _scalar_synthesize(c, levels))
+    image, l1 = prox_l1_wavelet(x, gamma, levels, with_l1=True, workspace=ws)
+    want_image, want_l1 = scalar_prox(x, gamma, levels)
+    assert np.array_equal(image, want_image)
+    assert l1 == want_l1
+
+
+def test_reused_workspace_matches_fresh_calls(rng):
+    # every call must overwrite what it reads: no result may depend on what
+    # an earlier call left in the buffers
+    shape = (32, 16)
+    ws = LiftingWorkspace(shape)
+    kept = analyze(rng.standard_normal(shape), 3)
+    first = kept.values.copy()
+    for levels, gamma in [(3, 0.2), (1, 0.0), (4, 1e-3), (2, 5.0), (3, 0.2)]:
+        x = rng.standard_normal(shape) * 10
+        c = rng.standard_normal(shape)
+        assert np.array_equal(ws.analyze(x, levels), analyze(x, levels).values)
+        assert ws.detail_l1(levels) == l1_norm_wavelet(x, levels)
+        assert np.array_equal(workspace_synthesize(ws, c, levels),
+                              synthesize(WaveletCoeffs(shape[1], shape[0], levels, c)))
+        got = prox_l1_wavelet(x, gamma, levels, with_l1=True, workspace=ws)
+        want = prox_l1_wavelet(x, gamma, levels, with_l1=True)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(kept.values, first)  # analyze returned coefficients it owns
+
+
+def test_workspace_shape_must_match_image():
+    with pytest.raises(ValueError, match="workspace"):
+        prox_l1_wavelet(np.ones((16, 16)), 0.1, 2, workspace=LiftingWorkspace((16, 32)))
 
 
 def test_energy_roughly_preserved(rng):
