@@ -4,8 +4,11 @@ The measurement operator is a 2D correlation with a small normalized kernel,
 extended at the borders by half-sample symmetric (reflexive) mirroring.  For
 kernels that are flip-symmetric in both axes this operator is diagonalized by
 the orthonormal 2D DCT-II, A = C^T diag(lam) C, so every product with A or
-A^T becomes a pointwise product in the DCT domain.  The eigenvalues are
-computed once per (kernel, shape) and cached by operator_spectrum.
+A^T becomes a pointwise product in the DCT domain.  operator_spectrum is the
+one path to the operator's spectral facts: it holds lam (from
+spectral_decompose) and lambda_max(A^T A), or a power-iteration estimate of
+the latter for other kernels, computed once per (kernel, shape) and cached.
+lambda_max_AtA reads that cache.
 """
 
 import threading
@@ -17,7 +20,6 @@ from scipy.fft import dctn, idctn
 
 __all__ = [
     "Psf",
-    "SpectralDiag",
     "make_gaussian_psf",
     "blur_apply",
     "blur_adjoint",
@@ -156,80 +158,55 @@ def idct2(x):
     return idctn(x, type=2, norm="ortho")
 
 
-@dataclass(frozen=True)
-class SpectralDiag:
-    """Per-frequency eigenvalues of eta * A^T A in the 2D DCT-II basis.
+def spectral_decompose(psf, shape):
+    """Signed eigenvalues lam of A in the DCT basis, for a doubly symmetric
+    kernel on (height, width) images: A = C^T diag(lam) C.
 
-    mu has shape (height, width); eta is the step size baked into mu.  lam
-    holds the signed eigenvalues of A itself (mu = eta lam^2) when known.
-    """
-
-    width: int
-    height: int
-    mu: np.ndarray
-    eta: float
-    lam: np.ndarray | None = None
-
-
-def spectral_decompose(psf, eta, width, height):
-    """Diagonalize eta * A^T A in the DCT basis for a doubly symmetric kernel.
-
-    The eigenvalues of A are recovered by blurring a corner impulse and
-    dividing its DCT by the DCT of the impulse itself; those of A^T A are
-    their squares.  The result is verified against the spatial-domain
-    operator on a random image before being returned.
+    They are recovered by blurring a corner impulse and dividing its DCT by
+    the DCT of the impulse itself.  The result is verified against the
+    spatial-domain A^T A on a random image before being returned.
 
     Raises
     ------
     ValueError
-        If the kernel is not flip-symmetric in both axes (the spectral path
-        only exists then; use the n-step fallback in the weighting module).
+        If the kernel is not flip-symmetric in both axes (A has no DCT form
+        then; the solver takes the matrix-free n-step recursion).
     ArithmeticError
         If the self-check against the spatial operator fails.
     """
     if not psf.is_doubly_symmetric():
         raise ValueError("spectral path requires a doubly symmetric psf")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    e1 = np.zeros((height, width))
+    e1 = np.zeros(shape)
     e1[0, 0] = 1.0
     lam = dct2(blur_apply(psf, e1)) / dct2(e1)
-    mu = np.clip(eta * lam * lam, 0.0, None)
-    sd = SpectralDiag(width=width, height=height, mu=mu, eta=eta, lam=lam)
 
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((height, width))
-    ref = eta * blur_adjoint(psf, blur_apply(psf, x))
-    err = np.linalg.norm(idct2(mu * dct2(x)) - ref) / np.linalg.norm(ref)
+    x = rng.standard_normal(shape)
+    ref = blur_adjoint(psf, blur_apply(psf, x))
+    err = np.linalg.norm(idct2(lam * lam * dct2(x)) - ref) / np.linalg.norm(ref)
     if not err <= 1e-10:
         raise ArithmeticError(
             f"spectral decomposition self-check failed (relative error {err:.3e})"
         )
-    return sd
+    return lam
 
 
-def lambda_max_AtA(psf, width, height):
-    """Largest eigenvalue of A^T A.
+def _power_iteration(psf, shape):
+    """Estimate of the largest eigenvalue of A^T A by power iteration.
 
-    Uses the spectral decomposition when the kernel is doubly symmetric,
-    otherwise power iteration (at most 10000 passes) that stops once two
-    successive estimates differ by at most 1e-8 relative.  That is a
-    stopping rule, not an error bound.  Each estimate ||A^T A v|| with unit
-    v is at most the eigenvalue, but with the clustered top of a blur
-    spectrum the last one can sit far more than 1e-8 below it: 1.4e-7
-    relative at 16x16 for a skewed 3x3 kernel, 5.4e-7 at 64x64 and 2.3e-6
-    at 128x128 for a 7x7 Gaussian centred half a tap off.
+    At most 10000 passes; stops once two successive estimates differ by at
+    most 1e-8 relative.  That is a stopping rule, not an error bound.  Each
+    estimate ||A^T A v|| with unit v is at most the eigenvalue, but with the
+    clustered top of a blur spectrum the last one can sit far more than 1e-8
+    below it: 1.4e-7 relative at 16x16 for a skewed 3x3 kernel, 5.4e-7 at
+    64x64 and 2.3e-6 at 128x128 for a 7x7 Gaussian centred half a tap off.
     """
-    if psf.is_doubly_symmetric():
-        sd = spectral_decompose(psf, 1.0, width, height)
-        return float(sd.mu.max())
-
     max_iters = 10000
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((height, width))
+    v = rng.standard_normal(shape)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         v = blur_adjoint(psf, blur_apply(psf, v))
         lam = np.linalg.norm(v)
         if lam == 0.0:
@@ -241,6 +218,13 @@ def lambda_max_AtA(psf, width, height):
     raise ArithmeticError(
         f"power iteration did not converge after {max_iters} iterations"
     )
+
+
+def lambda_max_AtA(psf, width, height):
+    """Largest eigenvalue of A^T A on height x width images, read from the
+    cached operator_spectrum: exact from the DCT eigenvalues when the
+    kernel is doubly symmetric, a power-iteration estimate otherwise."""
+    return operator_spectrum(psf, (height, width)).lambda_max_AtA
 
 
 class BuildCache:
@@ -294,15 +278,15 @@ def operator_spectrum(psf, shape):
     """The cached OperatorSpectrum of psf on (height, width) images.
 
     For a doubly symmetric kernel this is one spectral_decompose (self-check
-    included); otherwise one power iteration in lambda_max_AtA.
+    included); otherwise one power iteration.
     """
     h, w = shape
 
     def build():
         if not psf.is_doubly_symmetric():
-            return OperatorSpectrum(lam=None, lambda_max_AtA=lambda_max_AtA(psf, w, h))
-        sd = spectral_decompose(psf, 1.0, w, h)
-        sd.lam.flags.writeable = False
-        return OperatorSpectrum(lam=sd.lam, lambda_max_AtA=float(sd.mu.max()))
+            return OperatorSpectrum(lam=None, lambda_max_AtA=_power_iteration(psf, shape))
+        lam = spectral_decompose(psf, shape)
+        lam.flags.writeable = False
+        return OperatorSpectrum(lam=lam, lambda_max_AtA=float((lam * lam).max()))
 
     return _SPECTRA.get((psf_key(psf), h, w), build)

@@ -10,10 +10,12 @@ In the DCT eigenbasis W_n acts as the scalar filter
 
     phi(mu) = (1 - (1 - mu)^n) / mu,   mu = eigenvalue of eta A^T A,
 
-which this module evaluates in a cancellation-free form and applies in
-O(N log N).  The matrix-free n-step recursion is kept as an exact fallback
-for operators with no spectral decomposition.  operator_plan bundles the
-filter with the constants a solver run needs and caches the bundle.
+which build_filter evaluates in a cancellation-free form.  operator_plan is
+the one path from a (kernel, shape, eta, n) to what a solver run needs: it
+takes lam and lambda_max(A^T A) from the cached operator_spectrum, checks
+eta against the latter, and adds phi, the step's gain phi * lam and
+lambda_max(W_n).  The matrix-free n-step recursion is the exact fallback
+for operators with no DCT form.
 """
 
 import math
@@ -22,24 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linop import (
-    BuildCache,
-    SpectralDiag,
-    dct2,
-    gradient,
-    idct2,
-    operator_spectrum,
-    psf_key,
-)
+from .linop import BuildCache, gradient, operator_spectrum, psf_key
 
 __all__ = [
     "MU_CLAMP",
-    "WeightingFilter",
     "binomial_filter_weights",
     "build_filter",
-    "apply_weighted_gradient_spectral",
     "apply_weighted_gradient_nstep",
-    "lambda_max_W",
     "noise_std_amplification",
     "OperatorPlan",
     "operator_plan",
@@ -61,15 +52,6 @@ def binomial_filter_weights(n):
     if not 1 <= n <= 32:
         raise ValueError(f"order n must be in [1, 32], got {n}")
     return [math.comb(n, i) * (-1) ** (i - 1) for i in range(1, n + 1)]
-
-
-@dataclass(frozen=True)
-class WeightingFilter:
-    """DCT-domain eigenvalues phi of W_n, with the eta used to build them."""
-
-    n: int
-    eta: float
-    phi: np.ndarray
 
 
 def _phi_closed(mu, n):
@@ -99,8 +81,8 @@ def _phi_binomial_exact(mu, coeffs):
     return float(acc)
 
 
-def build_filter(spect, n):
-    """Build the W_n eigen-filter for a spectral decomposition.
+def build_filter(mu, n):
+    """The W_n eigen-filter phi at the eigenvalues mu of eta A^T A.
 
     The closed form and the literal binomial polynomial must agree to 1e-10
     on a sample of frequencies; this is asserted at build time.  The filter
@@ -108,7 +90,6 @@ def build_filter(spect, n):
     whenever mu <= 1, i.e. eta <= 1/lambda_max(A^T A)).
     """
     coeffs = binomial_filter_weights(n)
-    mu = spect.mu
     tol = 1e-12
     if mu.min() < -tol or mu.max() > 1.0 + tol:
         raise ValueError(
@@ -139,15 +120,7 @@ def build_filter(spect, n):
             f"phi range [{phi.min()!r}, {phi.max()!r}], "
             f"max phi*mu {(phi * mu).max()!r}"
         )
-    return WeightingFilter(n=n, eta=spect.eta, phi=phi)
-
-
-def apply_weighted_gradient_spectral(filt, g):
-    """W_n g through the DCT eigenbasis: idct2(phi * dct2(g))."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != filt.phi.shape:
-        raise ValueError(f"shape mismatch: filter {filt.phi.shape} vs image {g.shape}")
-    return idct2(filt.phi * dct2(g))
+    return phi
 
 
 def apply_weighted_gradient_nstep(psf, x, b, eta, n):
@@ -162,11 +135,6 @@ def apply_weighted_gradient_nstep(psf, x, b, eta, n):
     for _ in range(n):
         z -= eta * gradient(psf, z, b)
     return z
-
-
-def lambda_max_W(filt):
-    """Largest eigenvalue of W_n, attained at the smallest mu."""
-    return float(filt.phi.max())
 
 
 def noise_std_amplification(lambda_max_AtA, lambda_max_W, sigma_w, eta):
@@ -185,9 +153,10 @@ class OperatorPlan:
 
     Built once per (kernel, shape, eta, n) by operator_plan.  With a DCT
     form (doubly symmetric kernel) lam holds the signed DCT eigenvalues of
-    A, phi the W_n filter at mu = eta lam^2 (1.0 when n = 1) and gain =
-    phi * lam, the factor the DCT-domain step applies to its residual.
-    Without one those three are None and lambda_max_W is n.
+    A, phi the W_n filter at mu = eta lam^2 (1.0 when n = 1), gain =
+    phi * lam, the factor the DCT-domain step applies to its residual, and
+    lambda_max_W = max phi, attained at the smallest mu.  Without one those
+    three are None and lambda_max_W is n.
     """
 
     eta: float
@@ -205,8 +174,9 @@ _PLANS = BuildCache(8)
 def operator_plan(psf, shape, eta, n):
     """The cached OperatorPlan of psf on (height, width) images.
 
-    Checks the step size against lambda_max(A^T A) and builds the W_n
-    filter with build_filter, whose self-checks run once per plan.
+    Checks the step size against lambda_max(A^T A) from operator_spectrum
+    and builds the W_n filter with build_filter, whose self-checks run once
+    per plan.
 
     Raises
     ------
@@ -228,12 +198,10 @@ def operator_plan(psf, shape, eta, n):
         if n == 1:
             return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max, lambda_max_W=1.0,
                                 lam=lam, phi=1.0, gain=lam)
-        mu = np.clip(eta * lam * lam, 0.0, None)
-        filt = build_filter(SpectralDiag(width=w, height=h, mu=mu, eta=eta), n)
-        gain = filt.phi * lam
-        filt.phi.flags.writeable = gain.flags.writeable = False
+        phi = build_filter(eta * lam * lam, n)
+        gain = phi * lam
+        phi.flags.writeable = gain.flags.writeable = False
         return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max,
-                            lambda_max_W=lambda_max_W(filt), lam=lam, phi=filt.phi,
-                            gain=gain)
+                            lambda_max_W=float(phi.max()), lam=lam, phi=phi, gain=gain)
 
     return _PLANS.get((psf_key(psf), h, w, float(eta), int(n)), build)

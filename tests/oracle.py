@@ -4,7 +4,9 @@ Everything here is deliberately naive and coded independently of the fast
 paths it validates: blur by direct summation loops, the weighting matrix by
 literal polynomial evaluation with repeated matrix products, and the wavelet
 transform by scalar per-sample lifting.  Instances are capped at 256 pixels
-(16x16 images) so the whole oracle suite stays fast.
+(16x16 images) so the whole oracle suite stays fast.  The majorizer and the
+O(1/k^2) rate bound of the weighted step are here too, in the W_n^{-1}
+seminorm taken from an operator plan's filter phi.
 """
 
 import math
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import blur_apply
-from .solvers import Variant
-from .wavelet import ALPHA, BETA, DELTA, GAMMA, ZETA
+from proxdeblur.linop import blur_apply, dct2, gradient
+from proxdeblur.solvers import Variant, objective
+from proxdeblur.wavelet import ALPHA, BETA, DELTA, GAMMA, ZETA, l1_norm_wavelet
 
 __all__ = [
     "MAX_PIXELS",
@@ -26,6 +28,10 @@ __all__ = [
     "dense_solver_step",
     "normal_equations_solve",
     "lasso_coordinate_descent",
+    "wnorm_sq",
+    "surrogate_Q",
+    "RateReport",
+    "rate_check",
 ]
 
 MAX_PIXELS = 256
@@ -258,3 +264,80 @@ def lasso_coordinate_descent(design, target, gamma, sweeps=2000):
                 r += M[:, i] * (c[i] - new)
                 c[i] = new
     return c
+
+
+def wnorm_sq(v, plan):
+    """Squared seminorm ||v||^2 in the W_n^{-1} metric: sum(dct2(v)^2 / phi),
+    with phi from an OperatorPlan that has a DCT form."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != np.shape(plan.lam):
+        raise ValueError(f"shape mismatch: plan {np.shape(plan.lam)} vs image {v.shape}")
+    c = dct2(v)
+    return float((c * c / plan.phi).sum())
+
+
+def surrogate_Q(x, z, problem, cfg, plan):
+    """Quadratic-plus-regularizer majorizer of F at anchor z.
+
+    Q(x, z) = f(z) + <x - z, grad f(z)> + (1/2 eta) ||x - z||^2_{W^{-1}}
+              + p * lambda * l1(x).
+
+    Majorizes F(x) whenever phi * mu <= 1 (i.e. eta <= 1/lambda_max(A^T A))
+    and p >= 1.
+    """
+    psf, b = problem.psf, problem.b
+    rz = blur_apply(psf, z) - b
+    fz = 0.5 * float((rz * rz).sum())
+    g = gradient(psf, z, b)
+    lin = float(((x - z) * g).sum())
+    quad = wnorm_sq(x - z, plan) / (2 * cfg.eta)
+    return fz + lin + quad + cfg.p * cfg.lam * l1_norm_wavelet(x, cfg.wavelet_levels)
+
+
+@dataclass
+class RateReport:
+    """Outcome of rate_check: worst bound ratio and where it occurred."""
+
+    passed: bool
+    violations: int
+    max_ratio: float
+    worst_iter: int | None
+    constant: float
+    bound_numerator: float
+    f_star: float
+
+
+def rate_check(trace, x0, x_star, plan, problem, cfg):
+    """Check F(x_k) - F(x_star) <= (2/eta) ||x0 - x_star||^2_{W^{-1}} / (k+1)^2
+    for k >= 2 against a reference solution.
+
+    Flags violations in the returned report instead of raising, so diverging
+    runs can be inspected.
+    """
+    constant = 2.0 / cfg.eta
+    numerator = constant * wnorm_sq(np.asarray(x0, float) - np.asarray(x_star, float), plan)
+    f_star = objective(x_star, problem.b, problem.psf, cfg.lam, cfg.wavelet_levels)
+
+    violations = 0
+    max_ratio = -math.inf
+    worst = None
+    for rec in trace.records:
+        if rec.iter < 2:
+            continue
+        bound = numerator / (rec.iter + 1) ** 2
+        excess = rec.objective - f_star
+        ratio = excess / bound if bound > 0 else (math.inf if excess > 0 else 0.0)
+        if ratio > max_ratio:
+            max_ratio = ratio
+            worst = rec.iter
+        if ratio > 1 + 1e-9:
+            violations += 1
+    return RateReport(
+        passed=violations == 0,
+        violations=violations,
+        max_ratio=max_ratio,
+        worst_iter=worst,
+        constant=constant,
+        bound_numerator=numerator,
+        f_star=f_star,
+    )

@@ -16,6 +16,14 @@ import time
 import numpy as np
 import pytest
 
+from oracle import (
+    dense_Wn,
+    dense_solver_step,
+    densify_blur,
+    densify_wavelet,
+    rate_check,
+    surrogate_Q,
+)
 from proxdeblur.experiments import (
     STANDARD_IMAGES,
     Scenario,
@@ -35,12 +43,6 @@ from proxdeblur.linop import (
     make_gaussian_psf,
     spectral_decompose,
 )
-from proxdeblur.oracle import (
-    dense_Wn,
-    dense_solver_step,
-    densify_blur,
-    densify_wavelet,
-)
 from proxdeblur.solvers import (
     Problem,
     SolverConfig,
@@ -48,16 +50,10 @@ from proxdeblur.solvers import (
     Variant,
     efista_step,
     objective,
-    rate_check,
     run_solver,
-    surrogate_Q,
 )
 from proxdeblur.wavelet import analyze, synthesize
-from proxdeblur.weighting import (
-    apply_weighted_gradient_spectral,
-    build_filter,
-    lambda_max_W,
-)
+from proxdeblur.weighting import build_filter, operator_plan
 
 
 def report(num, ok, detail):
@@ -130,7 +126,7 @@ def test_2_weighting_identity_spectral_and_dense():
     psf = make_gaussian_psf(7, 4.0)
     h = w = 64
     eta = 1.0
-    spect = spectral_decompose(psf, eta, w, h)
+    lam = spectral_decompose(psf, (h, w))
     x = rng.standard_normal((h, w))
     zero = np.zeros_like(x)
     xnorm = float(np.linalg.norm(x))
@@ -138,8 +134,8 @@ def test_2_weighting_identity_spectral_and_dense():
         lhs = x.copy()
         for _ in range(n):
             lhs = lhs - eta * gradient(psf, lhs, zero)
-        filt = build_filter(spect, n)
-        rhs = x - eta * apply_weighted_gradient_spectral(filt, gradient(psf, x, zero))
+        phi = build_filter(eta * lam * lam, n)
+        rhs = x - eta * idct2(phi * dct2(gradient(psf, x, zero)))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)) / xnorm)
 
     # dense route on a 12x12 grid with a smaller kernel and eta < 1
@@ -173,8 +169,7 @@ def test_2_weighting_identity_spectral_and_dense():
 def test_3_spectral_constants():
     psf = make_gaussian_psf(7, 4.0)
     lam_max = lambda_max_AtA(psf, 256, 256)
-    filt = build_filter(spectral_decompose(psf, 1.0, 256, 256), 8)
-    lw = lambda_max_W(filt)
+    lw = operator_plan(psf, (256, 256), 1.0, 8).lambda_max_W
 
     ok = abs(lam_max - 1.0) <= 1e-6 and 7.9 < lw <= 8.0
     report(3, ok,
@@ -258,8 +253,7 @@ def test_4_convergence_curve_shapes(fig1_curves):
 def test_5_threshold_scale_sweep():
     t0 = time.perf_counter()
     grid = [float(p) for p in range(1, 9)]
-    lw = lambda_max_W(
-        build_filter(spectral_decompose(make_gaussian_psf(7, 4.0), 1.0, 256, 256), 8))
+    lw = operator_plan(make_gaussian_psf(7, 4.0), (256, 256), 1.0, 8).lambda_max_W
 
     cam = Scenario("cameraman", noise_sigma=1e-2, K=50)
     sweep_cam = run_p_sweep(cam, 8, grid, probe_iter=15)
@@ -383,8 +377,8 @@ def test_7_rate_bound():
     _, trace = run_solver(cfg, b, psf)
     assert len(trace) == 200 and not trace.diverged
 
-    filt = build_filter(spectral_decompose(psf, 1.0, size, size), 8)
-    rep = rate_check(trace, b, x_star, filt, Problem(psf=psf, b=b), cfg)
+    plan = operator_plan(psf, (size, size), 1.0, 8)
+    rep = rate_check(trace, b, x_star, plan, Problem(psf=psf, b=b), cfg)
 
     report(7, rep.passed,
            f"F(x_k) - F* <= {rep.constant:g} * ||x0 - x*||^2_Winv / (k+1)^2 "
@@ -435,9 +429,9 @@ def test_8_transform_suite():
     levels = 2
     eta = 0.9
     psf = make_gaussian_psf(3, 1.0)
-    filt = build_filter(spectral_decompose(psf, eta, w, h), 4)
+    plan = operator_plan(psf, (h, w), eta, 4)
     cfg = SolverConfig(variant=Variant.EFISTA, eta=eta, lam=1e-2, n=4,
-                       p=lambda_max_W(filt), wavelet_levels=levels)
+                       p=plan.lambda_max_W, wavelet_levels=levels)
     truth = rng.random((h, w))
     b = blur_apply(psf, truth) + 0.01 * rng.standard_normal((h, w))
     problem = Problem(psf=psf, b=b)
@@ -446,7 +440,7 @@ def test_8_transform_suite():
     for _ in range(pairs):
         xs = rng.standard_normal((h, w))
         zs = rng.standard_normal((h, w))
-        q = surrogate_Q(xs, zs, problem, cfg, filt)
+        q = surrogate_Q(xs, zs, problem, cfg, plan)
         f = objective(xs, b, psf, cfg.lam, levels)
         min_margin = min(min_margin, q - f)
 

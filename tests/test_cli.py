@@ -1,4 +1,7 @@
+import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -36,6 +39,31 @@ def test_import_does_not_load_scipy_signal_or_stats():
                          text=True, env=child_env(), timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs_on_the_package_exports():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = {alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module == "proxdeblur"
+                for alias in node.names}
+    assert imported and imported <= set(proxdeblur.__all__), imported - set(proxdeblur.__all__)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env(), timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+def test_every_module_export_resolves():
+    # a name deleted from a module but left in its __all__ fails here
+    modules = [proxdeblur] + [
+        importlib.import_module(f"proxdeblur.{info.name}")
+        for info in pkgutil.iter_modules(proxdeblur.__path__)
+        if info.name != "__main__"]  # importing __main__ runs the CLI
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
 def write_cfg(path, **keys):
@@ -183,6 +211,18 @@ def test_empty_list_key_exits_one_naming_it(tmp_path, command, extra, empty_key,
     res = run_cli(command, "--config", cfg)
     assert res.returncode == 1, res.stdout + res.stderr
     assert f":{len(keys)}: empty list for '{empty_key}'" in res.stderr
+    assert not (tmp_path / "o").exists()  # rejected before any run
+
+
+@pytest.mark.parametrize("key", ["lambda", "p", "eta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_parameter_exits_one_naming_it(tmp_path, key, value):
+    cfg = write_cfg(tmp_path / "d.cfg", image="synthetic:lena", size=32,
+                    variant="efista", iterations=3, out=str(tmp_path / "o"),
+                    **{key: value})
+    res = run_cli("deblur", "--config", cfg)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert f"{key} must be finite" in res.stderr
     assert not (tmp_path / "o").exists()  # rejected before any run
 
 

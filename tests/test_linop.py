@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import densify_blur, direct_blur
 from proxdeblur.linop import (
     Psf,
     blur_adjoint,
@@ -16,7 +17,7 @@ from proxdeblur.linop import (
     make_gaussian_psf,
     spectral_decompose,
 )
-from proxdeblur.oracle import densify_blur, direct_blur
+from proxdeblur.weighting import operator_plan
 
 
 def test_gaussian_taps_match_hand_formula():
@@ -159,27 +160,27 @@ def test_dct_roundtrip_and_energy(rng):
 
 def test_spectral_eigenvalues_match_dense(psf31):
     eta = 0.7
-    sd = spectral_decompose(psf31, eta, 8, 8)
+    lam = spectral_decompose(psf31, (8, 8))
     A = densify_blur(psf31, 8, 8).entries
     dense = np.linalg.eigvalsh(eta * (A.T @ A))
-    assert np.abs(np.sort(sd.mu.ravel()) - np.sort(dense)).max() < 1e-10
+    assert np.abs(np.sort((eta * lam * lam).ravel()) - np.sort(dense)).max() < 1e-10
 
 
 def test_spectral_applies_operator(rng, psf52):
     eta = 0.9
-    sd = spectral_decompose(psf52, eta, 16, 12)
+    lam = spectral_decompose(psf52, (12, 16))
     x = rng.standard_normal((12, 16))
     want = eta * blur_apply(psf52, blur_apply(psf52, x))
-    got = idct2(sd.mu * dct2(x))
+    got = idct2(eta * lam * lam * dct2(x))
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel < 1e-10
 
 
 def test_spectral_decompose_rejections(asymmetric_psf, psf31):
     with pytest.raises(ValueError):
-        spectral_decompose(asymmetric_psf, 1.0, 8, 8)
-    with pytest.raises(ValueError):
-        spectral_decompose(psf31, 0.0, 8, 8)
+        spectral_decompose(asymmetric_psf, (8, 8))
+    with pytest.raises(ValueError):  # eta enters at the plan, which checks it
+        operator_plan(psf31, (8, 8), 0.0, 2)
 
 
 def test_lambda_max_matches_dense(psf52):

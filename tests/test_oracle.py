@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from proxdeblur.linop import Psf, blur_apply
-from proxdeblur.oracle import (
+from oracle import (
     DenseOperator,
     dense_Wn,
     dense_solver_step,
@@ -12,6 +11,7 @@ from proxdeblur.oracle import (
     lasso_coordinate_descent,
     normal_equations_solve,
 )
+from proxdeblur.linop import Psf, blur_apply
 from proxdeblur.solvers import (
     Problem,
     SolverConfig,
@@ -64,15 +64,13 @@ def test_dense_Wn_is_symmetric(psf31):
 
 
 def test_dense_Wn_eigenvalues_equal_filter(psf31):
-    from proxdeblur.linop import spectral_decompose
-    from proxdeblur.weighting import build_filter
+    from proxdeblur.weighting import operator_plan
 
     eta, n = 0.9, 8
-    sd = spectral_decompose(psf31, eta, 8, 8)
-    filt = build_filter(sd, n)
+    phi = operator_plan(psf31, (8, 8), eta, n).phi
     W = dense_Wn(densify_blur(psf31, 8, 8), eta, n).entries
     got = np.sort(np.linalg.eigvalsh(W))
-    want = np.sort(filt.phi.ravel())
+    want = np.sort(phi.ravel())
     assert np.abs(got - want).max() < 1e-10
 
 

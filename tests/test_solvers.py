@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from proxdeblur.linop import blur_apply, gradient, spectral_decompose
+from oracle import dense_Wn, densify_blur, rate_check, surrogate_Q, wnorm_sq
+from proxdeblur.linop import blur_apply, gradient
 from proxdeblur.solvers import (
     Problem,
     SolverConfig,
@@ -13,15 +14,11 @@ from proxdeblur.solvers import (
     momentum_alpha,
     momentum_extrapolate,
     objective,
-    rate_check,
     run_solver,
-    surrogate_Q,
-    trajectory_diverged,
-    wnorm_sq,
+    runs_diverged,
 )
-from proxdeblur.oracle import dense_Wn, densify_blur
 from proxdeblur.wavelet import prox_l1_wavelet
-from proxdeblur.weighting import build_filter, lambda_max_W
+from proxdeblur.weighting import operator_plan
 
 
 @pytest.fixture
@@ -60,6 +57,7 @@ def test_variant_coercion_and_validation():
     assert cfg.variant is Variant.FISTA
     assert cfg.n == 1  # forced for unweighted variants
     assert cfg.p == 1.0  # forced for everything but efista
+    assert SolverConfig(variant="fista", p=math.nan).p == 1.0  # reset before the finite check
     with pytest.raises(ValueError):
         SolverConfig(variant="nope")
     with pytest.raises(ValueError):
@@ -220,11 +218,11 @@ def test_oversized_threshold_scale_warns(tiny_problem):
 
 def test_default_p_resolves_to_filter_gain(tiny_problem):
     psf, b = tiny_problem
-    filt = build_filter(spectral_decompose(psf, 1.0, 16, 16), 8)
+    plan = operator_plan(psf, (16, 16), 1.0, 8)
     cfg = SolverConfig(variant="efista", lam=1e-3, n=8, p=None, max_iters=2,
                        wavelet_levels=2)
     x_auto, _ = run_solver(cfg, b, psf)
-    cfg2 = SolverConfig(variant="efista", lam=1e-3, n=8, p=lambda_max_W(filt),
+    cfg2 = SolverConfig(variant="efista", lam=1e-3, n=8, p=plan.lambda_max_W,
                         max_iters=2, wavelet_levels=2)
     x_explicit, _ = run_solver(cfg2, b, psf)
     assert np.array_equal(x_auto, x_explicit)
@@ -274,33 +272,33 @@ def test_psnr_recording(tiny_problem, rng):
 
 def test_wnorm_matches_dense_inverse(rng, psf31):
     eta, n = 0.9, 4
-    filt = build_filter(spectral_decompose(psf31, eta, 8, 8), n)
+    plan = operator_plan(psf31, (8, 8), eta, n)
     W = dense_Wn(densify_blur(psf31, 8, 8), eta, n).entries
     v = rng.standard_normal((8, 8))
     want = float(v.ravel() @ np.linalg.solve(W, v.ravel()))
-    assert wnorm_sq(v, filt) == pytest.approx(want, rel=1e-9)
+    assert wnorm_sq(v, plan) == pytest.approx(want, rel=1e-9)
 
 
 def test_wnorm_bounds(rng, psf31):
     n = 8
-    filt = build_filter(spectral_decompose(psf31, 1.0, 16, 16), n)
+    plan = operator_plan(psf31, (16, 16), 1.0, n)
     v = rng.standard_normal((16, 16))
     e = float((v * v).sum())
-    w = wnorm_sq(v, filt)
+    w = wnorm_sq(v, plan)
     assert e / n - 1e-9 <= w <= e + 1e-9
 
 
 def test_surrogate_majorizes_objective(rng, psf31):
     eta, lam, n, levels = 0.9, 1e-2, 4, 2
-    filt = build_filter(spectral_decompose(psf31, eta, 16, 16), n)
+    plan = operator_plan(psf31, (16, 16), eta, n)
     b = rng.standard_normal((16, 16))
     problem = Problem(psf=psf31, b=b)
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=n,
-                       p=lambda_max_W(filt), wavelet_levels=levels)
+                       p=plan.lambda_max_W, wavelet_levels=levels)
     for _ in range(50):
         x = rng.standard_normal((16, 16))
         z = rng.standard_normal((16, 16))
-        q = surrogate_Q(x, z, problem, cfg, filt)
+        q = surrogate_Q(x, z, problem, cfg, plan)
         f = objective(x, b, psf31, lam, levels)
         assert q >= f - 1e-10 * max(1.0, abs(f))
 
@@ -308,20 +306,20 @@ def test_surrogate_majorizes_objective(rng, psf31):
 def test_surrogate_touches_objective_at_anchor(rng, psf31):
     # with p = 1 the majorizer is tight at x = z
     eta, lam, levels = 1.0, 1e-2, 2
-    filt = build_filter(spectral_decompose(psf31, eta, 16, 16), 1)
+    plan = operator_plan(psf31, (16, 16), eta, 1)
     b = rng.standard_normal((16, 16))
     problem = Problem(psf=psf31, b=b)
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=1, p=1.0,
                        wavelet_levels=levels)
     x = rng.standard_normal((16, 16))
-    assert surrogate_Q(x, x, problem, cfg, filt) == pytest.approx(
+    assert surrogate_Q(x, x, problem, cfg, plan) == pytest.approx(
         objective(x, b, psf31, lam, levels), rel=1e-12)
 
 
 def test_surrogate_classic_form_at_order_one(rng, psf31):
     # n = 1 reduces the weighted quadratic to the plain 1/(2 eta) ||x-z||^2
     eta, lam, levels = 0.8, 1e-2, 2
-    filt = build_filter(spectral_decompose(psf31, eta, 16, 16), 1)
+    plan = operator_plan(psf31, (16, 16), eta, 1)
     b = rng.standard_normal((16, 16))
     problem = Problem(psf=psf31, b=b)
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=1, p=1.0,
@@ -335,14 +333,14 @@ def test_surrogate_classic_form_at_order_one(rng, psf31):
                + float(((x - z) * gradient(psf31, z, b)).sum())
                + float(((x - z) ** 2).sum()) / (2 * eta)
                + lam * l1_norm_wavelet(x, levels))
-    assert surrogate_Q(x, z, problem, cfg, filt) == pytest.approx(classic, rel=1e-10)
+    assert surrogate_Q(x, z, problem, cfg, plan) == pytest.approx(classic, rel=1e-10)
 
 
 def test_rate_check_flags_and_passes(rng, psf31):
     from proxdeblur.solvers import IterationRecord, IterationTrace
 
     eta = 1.0
-    filt = build_filter(spectral_decompose(psf31, eta, 8, 8), 2)
+    plan = operator_plan(psf31, (8, 8), eta, 2)
     b = rng.standard_normal((8, 8))
     problem = Problem(psf=psf31, b=b)
     cfg = SolverConfig(variant="efista", eta=eta, lam=0.0, n=2, p=1.0,
@@ -350,7 +348,7 @@ def test_rate_check_flags_and_passes(rng, psf31):
     x0 = rng.standard_normal((8, 8))
     x_star = rng.standard_normal((8, 8))
     f_star = objective(x_star, b, psf31, 0.0, 2)
-    numer = (2 / eta) * wnorm_sq(x0 - x_star, filt)
+    numer = (2 / eta) * wnorm_sq(x0 - x_star, plan)
 
     def rec(k, fval):
         return IterationRecord(iter=k, objective=fval, data_term=fval,
@@ -358,14 +356,14 @@ def test_rate_check_flags_and_passes(rng, psf31):
 
     good = IterationTrace(records=[
         rec(k, f_star + 0.5 * numer / (k + 1) ** 2) for k in range(1, 30)])
-    report = rate_check(good, x0, x_star, filt, problem, cfg)
+    report = rate_check(good, x0, x_star, plan, problem, cfg)
     assert report.passed and report.violations == 0
     assert report.max_ratio == pytest.approx(0.5, rel=1e-9)
 
     bad_records = list(good.records)
     bad_records[10] = rec(11, f_star + 2.0 * numer / 12**2)
     bad = IterationTrace(records=bad_records)
-    report = rate_check(bad, x0, x_star, filt, problem, cfg)
+    report = rate_check(bad, x0, x_star, plan, problem, cfg)
     assert not report.passed
     assert report.violations == 1
     assert report.worst_iter == 11
@@ -373,12 +371,11 @@ def test_rate_check_flags_and_passes(rng, psf31):
 
 
 def test_trajectory_divergence_classifier():
-    assert not trajectory_diverged(np.linspace(1.0, 0.5, 20))
-    assert not trajectory_diverged([])
-    assert trajectory_diverged([1.0, 0.5, 0.7])          # 40% above its min
-    assert not trajectory_diverged([1.0, 0.5, 0.50049])  # within 0.1%
-    assert trajectory_diverged([1.0, np.nan])
-    assert trajectory_diverged([1.0, 2.0, np.inf])
+    assert not runs_diverged([], np.linspace(1.0, 0.5, 20))
+    assert not runs_diverged([], [])
+    assert runs_diverged([], [1.0, 0.5, 0.7])          # 40% above its min
+    assert not runs_diverged([], [1.0, 0.5, 0.50049])  # within 0.1%
+    assert runs_diverged([], [1.0, 2.0, np.inf])
 
 
 def test_default_config_takes_nstep_path_on_asymmetric_kernel(rng, asymmetric_psf):
@@ -432,6 +429,8 @@ def test_operator_plan_is_built_once_across_runs_and_threads(monkeypatch, tiny_p
     assert len(results) == len(threads)
     run_solver(SolverConfig(variant="fista", **kw), b, psf)
     run_solver(SolverConfig(variant="ista", **kw), b, psf)
+    lam_max = linop.lambda_max_AtA(psf, b.shape[1], b.shape[0])
+    assert lam_max == weighting.operator_plan(psf, b.shape, 1.0, 8).lambda_max_AtA
     assert calls == {"spectral_decompose": 1, "build_filter": 1}
     assert weighting.operator_plan(psf, b.shape, 1.0, 8) is weighting.operator_plan(
         psf, b.shape, 1.0, 8)

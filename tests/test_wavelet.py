@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxdeblur.oracle import (
+from oracle import (
     _scalar_analyze,
     _scalar_synthesize,
     densify_wavelet,

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxdeblur.linop import SpectralDiag, dct2, idct2, spectral_decompose
-from proxdeblur.oracle import densify_blur, dense_Wn
+from oracle import densify_blur, dense_Wn
+from proxdeblur.linop import dct2, gradient, idct2, spectral_decompose
 from proxdeblur.weighting import (
     _phi_binomial_exact,
     apply_weighted_gradient_nstep,
-    apply_weighted_gradient_spectral,
     binomial_filter_weights,
     build_filter,
-    lambda_max_W,
     noise_std_amplification,
+    operator_plan,
 )
 
 
@@ -38,18 +37,18 @@ def test_binomial_weights_rejects(bad):
 def test_filter_hand_values():
     # phi(mu) = (1 - (1-mu)^n)/mu evaluated by hand for n = 2
     mu = np.array([[0.5, 1.0], [1e-20, 0.25]])
-    filt = build_filter(SpectralDiag(width=2, height=2, mu=mu, eta=1.0), 2)
+    phi = build_filter(mu, 2)
     want = np.array([[1.5, 1.0], [2.0, 1.75]])
-    assert np.abs(filt.phi - want).max() < 1e-12
-    assert lambda_max_W(filt) == pytest.approx(2.0)
+    assert np.abs(phi - want).max() < 1e-12
+    assert float(phi.max()) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_filter_matches_exact_polynomial_everywhere(psf31, n):
-    sd = spectral_decompose(psf31, 0.9, 8, 8)
-    filt = build_filter(sd, n)
+    lam = spectral_decompose(psf31, (8, 8))
+    mus = 0.9 * lam * lam
     coeffs = binomial_filter_weights(n)
-    for mu, phi in zip(sd.mu.ravel(), filt.phi.ravel()):
+    for mu, phi in zip(mus.ravel(), build_filter(mus, n).ravel()):
         if mu <= 1e-14:
             assert phi == pytest.approx(float(n), abs=1e-12)
         else:
@@ -62,11 +61,9 @@ def test_spectral_weighting_equals_n_gradient_steps(rng, psf31, n):
     eta = 0.8
     x = rng.standard_normal((16, 16))
     b = rng.standard_normal((16, 16))
-    filt = build_filter(spectral_decompose(psf31, eta, 16, 16), n)
-    from proxdeblur.linop import gradient
-
+    phi = operator_plan(psf31, (16, 16), eta, n).phi
     g = gradient(psf31, x, b)
-    z_spectral = x - eta * apply_weighted_gradient_spectral(filt, g)
+    z_spectral = x - eta * idct2(phi * dct2(g))
     z_steps = apply_weighted_gradient_nstep(psf31, x, b, eta, n)
     assert np.abs(z_spectral - z_steps).max() < 1e-9
 
@@ -74,48 +71,48 @@ def test_spectral_weighting_equals_n_gradient_steps(rng, psf31, n):
 def test_spectral_weighting_matches_dense_matrix(rng, psf31):
     eta, n = 0.9, 4
     g = rng.standard_normal((8, 8))
-    filt = build_filter(spectral_decompose(psf31, eta, 8, 8), n)
+    phi = operator_plan(psf31, (8, 8), eta, n).phi
     W = dense_Wn(densify_blur(psf31, 8, 8), eta, n)
     want = (W.entries @ g.ravel()).reshape(8, 8)
-    assert np.abs(apply_weighted_gradient_spectral(filt, g) - want).max() < 1e-9
+    assert np.abs(idct2(phi * dct2(g)) - want).max() < 1e-9
 
 
 def test_order_one_filter_is_identity(rng, psf31):
-    filt = build_filter(spectral_decompose(psf31, 1.0, 8, 8), 1)
-    assert np.abs(filt.phi - 1.0).max() < 1e-12
+    lam = spectral_decompose(psf31, (8, 8))
+    phi = build_filter(1.0 * lam * lam, 1)
+    assert np.abs(phi - 1.0).max() < 1e-12
     g = rng.standard_normal((8, 8))
-    assert np.abs(apply_weighted_gradient_spectral(filt, g) - g).max() < 1e-12
+    assert np.abs(idct2(phi * dct2(g)) - g).max() < 1e-12
 
 
 def test_filter_invariants_on_random_spectra(rng):
     for n in (2, 5, 12):
         mu = rng.uniform(0.0, 1.0, (6, 6))
-        filt = build_filter(SpectralDiag(width=6, height=6, mu=mu, eta=1.0), n)
-        assert filt.phi.min() >= 1.0 - 1e-12
-        assert filt.phi.max() <= n + 1e-12
-        assert (filt.phi * mu).max() <= 1.0 + 1e-12
+        phi = build_filter(mu, n)
+        assert phi.min() >= 1.0 - 1e-12
+        assert phi.max() <= n + 1e-12
+        assert (phi * mu).max() <= 1.0 + 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**31))
 def test_filter_bounds_property(n, seed):
     mu = np.random.default_rng(seed).uniform(0.0, 1.0, (4, 4))
-    filt = build_filter(SpectralDiag(width=4, height=4, mu=mu, eta=1.0), n)
-    assert filt.phi.min() >= 1.0 - 1e-12
-    assert filt.phi.max() <= n + 1e-12
+    phi = build_filter(mu, n)
+    assert phi.min() >= 1.0 - 1e-12
+    assert phi.max() <= n + 1e-12
 
 
 def test_build_filter_rejects_overstepped_spectrum(psf31):
     # eta > 1/lambda_max puts mu above 1 and breaks the filter guarantees
-    sd = spectral_decompose(psf31, 1.5, 8, 8)
+    lam = spectral_decompose(psf31, (8, 8))
     with pytest.raises(ValueError):
-        build_filter(sd, 2)
+        build_filter(1.5 * lam * lam, 2)
 
 
 def test_large_filter_gain_reaches_order(psf74):
     # heavy blur leaves near-zero frequencies where phi saturates at n
-    filt = build_filter(spectral_decompose(psf74, 1.0, 256, 256), 8)
-    lam = lambda_max_W(filt)
+    lam = operator_plan(psf74, (256, 256), 1.0, 8).lambda_max_W
     assert 7.9 < lam <= 8.0
     assert lam == pytest.approx(8.0, abs=1e-9)
 
@@ -123,12 +120,6 @@ def test_large_filter_gain_reaches_order(psf74):
 def test_nstep_weighting_validation(psf31):
     with pytest.raises(ValueError):
         apply_weighted_gradient_nstep(psf31, np.ones((8, 8)), np.ones((8, 8)), 1.0, 0)
-
-
-def test_shape_mismatch_in_spectral_apply(psf31):
-    filt = build_filter(spectral_decompose(psf31, 1.0, 8, 8), 2)
-    with pytest.raises(ValueError):
-        apply_weighted_gradient_spectral(filt, np.ones((4, 4)))
 
 
 def test_noise_amplification_bound():
