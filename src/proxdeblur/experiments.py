@@ -45,8 +45,8 @@ TABLE_HEADER = "image,sigma,algorithm,iters,psnr_mean,psnr_std,secs_mean"
 
 def add_awgn(x, sigma, seed):
     """Add white Gaussian noise of standard deviation sigma, seeded."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"noise sigma must be nonnegative and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     if sigma == 0:
         return x.copy()
@@ -167,6 +167,10 @@ class Scenario:
     image_size: int = 256
 
     def __post_init__(self):
+        for name in ("noise_sigma", "psf_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if self.K < 0:

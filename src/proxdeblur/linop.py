@@ -11,6 +11,7 @@ the latter for other kernels, computed once per (kernel, shape) and cached.
 lambda_max_AtA reads that cache.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -77,8 +78,8 @@ def make_gaussian_psf(size, sigma):
     """
     if size < 1 or size % 2 == 0:
         raise ValueError(f"psf size must be a positive odd integer, got {size}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(sigma) or sigma <= 0:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     c = (size - 1) / 2
     i = np.arange(size)
     g = np.exp(-((i - c) ** 2) / (2 * sigma**2))

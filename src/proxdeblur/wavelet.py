@@ -10,10 +10,15 @@ Coefficients use the in-place pyramid layout: after each level the low-pass
 half moves to the front, so the coarsest approximation band ends up in the
 top-left (h >> levels) x (w >> levels) block.
 
-The lifting runs in place in a LiftingWorkspace.  A solver calls the prox
-once per iteration, and a call that built its own dozens of image-sized
-temporaries paid more in fresh-page faults than in arithmetic; with a
-workspace the only new array per call is the returned image.  A workspace
+The lifting runs in a LiftingWorkspace.  A solver calls the prox once per
+iteration, and a call that built its own dozens of image-sized temporaries
+paid more in fresh-page faults than in arithmetic; with a workspace the
+only new array per call is the returned image.  Each level lifts its rows
+in one buffer and its columns in another, each pass on two contiguous
+half-bands with a spare row between them for the extrapolated end sample,
+so a predict or update step is five whole-band numpy calls; the views of
+each level are built once per workspace.  The pyramid-layout coefficient
+array hands each level's approximation band on to the next.  A workspace
 is made once per solver run and never shared between runs or threads.
 prox_l1_wavelet takes it as an argument (a fresh one when none is given);
 analyze, synthesize and l1_norm_wavelet always run in a fresh one.
@@ -43,6 +48,10 @@ BETA = -0.052980118572961
 GAMMA = 0.882911075530934
 DELTA = 0.443506852043971
 ZETA = 1.1496043988602418
+# The same constants as read-only 0-d arrays, which a ufunc takes with
+# less overhead than a Python float; the arithmetic is the same.
+_ALPHA, _BETA, _GAMMA, _DELTA, _ZETA, _TWO = (
+    np.broadcast_to(v, ()) for v in (ALPHA, BETA, GAMMA, DELTA, ZETA, 2.0))
 
 
 @dataclass
@@ -74,111 +83,178 @@ def _check_dims(x, levels):
     return x
 
 
-def _predict(s, p, coef):
-    """p = coef * (s[i] + s[i+1]), s[m] extrapolated as 2 s[m-1] - s[m-2]."""
-    np.add(s[:-1], s[1:], out=p[:-1])
-    if len(s) >= 2:
-        np.multiply(s[-1], 2, out=p[-1])
-        p[-1] -= s[-2]
-    else:
-        p[-1] = s[-1]
-    p[-1] += s[-1]
-    p *= coef
-    return p
+class _HalfBands:
+    """Views for lifting two m x n half-bands along axis 0 in one buffer.
+
+    The buffer holds s (rows 0..m-1), a spare row m and d (rows m+1..2m),
+    plus one unused row that lets `bands` be a plain reshape.  The spare
+    row carries the extrapolated end sample of the band the step reads,
+    so every pair sum is one np.add over m rows: s[i] + s[i+1] with
+    s[m] = 2 s[m-1] - s[m-2] (predict), d[i-1] + d[i] with
+    d[-1] = 2 d[0] - d[1] (update); a 1-sample band repeats its sample.
+    Pair sums go to `p`, a scratch block shared by all passes.
+    """
+
+    __slots__ = ("bands", "s", "d", "spare", "s_next", "d_prev", "s_end", "d_start", "p")
+
+    def __init__(self, buf, m, n, pairs):
+        rows = buf[:(2 * m + 2) * n].reshape(2 * m + 2, n)
+        self.bands = rows.reshape(2, m + 1, n)[:, :m]
+        self.s, self.d = self.bands
+        self.spare = rows[m]
+        self.s_next = rows[1:m + 1]
+        self.d_prev = rows[m:2 * m]
+        self.s_end = (rows[m - 1], rows[m - 2] if m > 1 else None)
+        self.d_start = (rows[m + 1], rows[m + 2] if m > 1 else None)
+        self.p = pairs[:m * n].reshape(m, n)
+
+    def _pair_sums(self, coef, a, b, end):
+        # p = coef * (a + b), once the spare row holds the end sample
+        # extrapolated from end = (nearest, next nearest)
+        near, far = end
+        spare, p = self.spare, self.p
+        if far is None:
+            spare[...] = near
+        else:
+            np.multiply(near, _TWO, spare)
+            spare -= far
+        np.add(a, b, p)
+        p *= coef
+        return p
+
+    def _s_pairs(self, coef):
+        return self._pair_sums(coef, self.s, self.s_next, self.s_end)
+
+    def _d_pairs(self, coef):
+        return self._pair_sums(coef, self.d_prev, self.d, self.d_start)
+
+    def forward(self):
+        s, d = self.s, self.d
+        d += self._s_pairs(_ALPHA)
+        s += self._d_pairs(_BETA)
+        d += self._s_pairs(_GAMMA)
+        s += self._d_pairs(_DELTA)
+        s *= _ZETA
+        d /= _ZETA
+
+    def inverse(self):
+        s, d = self.s, self.d
+        s /= _ZETA
+        d *= _ZETA
+        s -= self._d_pairs(_DELTA)
+        d -= self._s_pairs(_GAMMA)
+        s -= self._d_pairs(_BETA)
+        d -= self._s_pairs(_ALPHA)
 
 
-def _update(d, p, coef):
-    """p = coef * (d[i-1] + d[i]), d[-1] extrapolated as 2 d[0] - d[1]: the
-    predict step run backwards (floating-point addition commutes)."""
-    return _predict(d[::-1], p[::-1], coef)[::-1]
+def _columns(a, hh, ww):
+    """a[:hh, :ww] as its even and odd columns, transposed: (2, ww/2, hh)."""
+    return a[:hh, :ww].reshape(hh, ww // 2, 2).transpose(2, 1, 0)
 
 
-def _lift_fwd(s, d, p):
-    # One forward lifting pass along axis 0: even rows s, odd rows d.
-    d += _predict(s, p, ALPHA)
-    s += _update(d, p, BETA)
-    d += _predict(s, p, GAMMA)
-    s += _update(d, p, DELTA)
-    s *= ZETA
-    d /= ZETA
+class _Level:
+    """The views one transform level runs on, built once per workspace."""
 
+    __slots__ = ("rows", "cols", "coeff_halves", "coeff_cols", "rows_split", "cols_split",
+                 "rows_as_cols", "cols_as_rows", "approx")
 
-def _lift_inv(s, d, p):
-    # Inverse of _lift_fwd: undo the lifting steps in reverse order.
-    s /= ZETA
-    d *= ZETA
-    s -= _update(d, p, DELTA)
-    d -= _predict(s, p, GAMMA)
-    s -= _update(d, p, BETA)
-    d -= _predict(s, p, ALPHA)
+    def __init__(self, ws, l):
+        hh, ww = ws.shape[0] >> l, ws.shape[1] >> l
+        mh, mw = hh // 2, ww // 2
+        self.rows = _HalfBands(ws._block, mw, hh, ws._pairs)
+        self.cols = _HalfBands(ws._vbuf, mh, ww, ws._pairs)
+        self.coeff_halves = ws.coeffs[:hh, :ww].reshape(2, mh, ww)
+        self.coeff_cols = _columns(ws.coeffs, hh, ww)
+        # rows_split[a, j, i, k] is row 2i + k of column j of the horizontal
+        # half-band a; cols_split[k, i, a, j] is the same sample
+        self.rows_split = self.rows.bands.reshape(2, mw, mh, 2)
+        self.cols_split = self.cols.bands.reshape(2, mh, 2, mw)
+        self.rows_as_cols = self.rows_split.transpose(3, 2, 0, 1)
+        self.cols_as_rows = self.cols_split.transpose(2, 3, 1, 0)
+        self.approx = ws._shrink[:mh, :mw]  # the coarsest band when l + 1 levels deep
 
 
 class LiftingWorkspace:
     """Buffers the lifting of one image shape runs in, reused call after call.
 
-    It holds the coefficient array, a transposed block buffer, a pair-sum
-    scratch buffer and a shrink/abs buffer.  A workspace belongs to one
-    solver run: the calls that use it overwrite all of its buffers, so it is
-    never shared between runs or threads.
+    Each level lifts the rows of its block, then its columns, each pass
+    along axis 0 of a buffer that holds the pass's two half-bands
+    contiguously (see _HalfBands): the horizontal pass runs in `_block`
+    (w + 2 rows of h), the vertical pass in `_vbuf` (h + 2 rows of w).
+    `_shrink`, the clip and abs buffer of the prox, is the front of
+    `_vbuf`; it is idle while the lifting runs.  The even/odd splits are
+    folded into the transposed copies from the image or `coeffs` into
+    `_block`, from `_block` into `_vbuf`, and from `_vbuf` back into
+    `coeffs` (the reverse in synthesis).  `coeffs` keeps the pyramid
+    layout, one level's approximation band feeding the next: it is what
+    `analyze` returns, and `detail_l1` sums it in row-major order, which
+    fixes the rounding of the l1.  `_pairs` is the pair-sum scratch of
+    both passes.  The views of level l are built the first time a call
+    reaches that depth and kept; a call slices nothing inside the
+    workspace.
+
+    A workspace belongs to one solver run: the calls that use it overwrite
+    all of its buffers, so it is never shared between runs or threads.
     """
 
     def __init__(self, shape):
         h, w = shape
         self.shape = (h, w)
         self.coeffs = np.empty((h, w))
-        self.block = np.empty((w, h))
-        self.pairs = np.empty(h * w // 2)
-        self.shrink = np.empty((h, w))
+        self._block = np.empty((w + 2) * h)
+        self._vbuf = np.empty((h + 2) * w)
+        self._pairs = np.empty(h * w // 2)
+        self._shrink = self._vbuf[:h * w].reshape(h, w)
+        self._levels = []
+
+    def _level(self, l):
+        while len(self._levels) <= l:
+            self._levels.append(_Level(self, len(self._levels)))
+        return self._levels[l]
 
     def analyze(self, x, levels):
-        """Coefficients of x in self.coeffs (returned, not copied).
-
-        Each level lifts the rows, then the columns, of its block.  Both
-        passes run along axis 0; the even/odd split is part of the transposed
-        copy into and out of self.block.
-        """
-        c, h, w = self.coeffs, *self.shape
+        """Coefficients of x in self.coeffs (returned, not copied)."""
+        h, w = self.shape
         for l in range(levels):
-            hh, ww = h >> l, w >> l
-            mh, mw = hh // 2, ww // 2
-            src = x if l == 0 else c
-            t = self.block[:ww, :hh]
-            t[:mw] = src[:hh, 0:ww:2].T
-            t[mw:] = src[:hh, 1:ww:2].T
-            _lift_fwd(t[:mw], t[mw:], self._pairs(mw, hh))
-            c[:mh, :ww] = t[:, 0:hh:2].T
-            c[mh:hh, :ww] = t[:, 1:hh:2].T
-            _lift_fwd(c[:mh, :ww], c[mh:hh, :ww], self._pairs(mh, ww))
-        return c
+            lv = self._level(l)
+            lv.rows.bands[...] = _columns(x, h, w) if l == 0 else lv.coeff_cols
+            lv.rows.forward()
+            lv.cols_split[...] = lv.rows_as_cols
+            lv.cols.forward()
+            lv.coeff_halves[...] = lv.cols.bands
+        return self.coeffs
 
     def synthesize(self, levels):
         """Image of the coefficients in self.coeffs, as a new array.
 
         self.coeffs is overwritten; the finest level writes the output.
         """
-        c, h, w = self.coeffs, *self.shape
+        h, w = self.shape
         out = np.empty((h, w))
         for l in reversed(range(levels)):
-            hh, ww = h >> l, w >> l
-            mh, mw = hh // 2, ww // 2
-            _lift_inv(c[:mh, :ww], c[mh:hh, :ww], self._pairs(mh, ww))
-            t = self.block[:ww, :hh]
-            t[:, 0:hh:2] = c[:mh, :ww].T
-            t[:, 1:hh:2] = c[mh:hh, :ww].T
-            _lift_inv(t[:mw], t[mw:], self._pairs(mw, hh))
-            dst = c if l else out
-            dst[:hh, 0:ww:2] = t[:mw].T
-            dst[:hh, 1:ww:2] = t[mw:].T
+            lv = self._level(l)
+            lv.cols.bands[...] = lv.coeff_halves
+            lv.cols.inverse()
+            lv.rows_split[...] = lv.cols_as_rows
+            lv.rows.inverse()
+            (_columns(out, h, w) if l == 0 else lv.coeff_cols)[...] = lv.rows.bands
         return out
+
+    def shrink_details(self, gamma, levels):
+        """Soft-threshold the detail bands of self.coeffs by gamma in place.
+
+        This is soft_threshold's formula, c - clip(c, -gamma, gamma), with
+        the clip of the approximation band zeroed so that band is kept.
+        """
+        g = np.clip(self.coeffs, -gamma, gamma, out=self._shrink)
+        self._level(levels - 1).approx.fill(0.0)
+        self.coeffs -= g
 
     def detail_l1(self, levels):
         """l1 of self.coeffs over the detail bands; self.coeffs is kept."""
-        a = np.abs(self.coeffs, out=self.shrink)
-        a[:self.shape[0] >> levels, :self.shape[1] >> levels] = 0.0
+        a = np.abs(self.coeffs, out=self._shrink)
+        self._level(levels - 1).approx.fill(0.0)
         return float(a.sum())
-
-    def _pairs(self, m, length):
-        return self.pairs[:m * length].reshape(m, length)
 
 
 def analyze(x, levels):
@@ -206,7 +282,7 @@ def soft_threshold(v, gamma):
     """Elementwise shrinkage sign(v) * max(|v| - gamma, 0), as v - clip(v).
 
     An exact-zero result is +0.0 (the sign form gives -0.0 for negative v).
-    prox_l1_wavelet applies the same formula in place on its workspace;
+    LiftingWorkspace.shrink_details applies the same formula in place;
     keep the two in step.
     """
     if gamma < 0:
@@ -231,10 +307,8 @@ def prox_l1_wavelet(x, gamma, levels, with_l1=False, workspace=None):
     ws = LiftingWorkspace(x.shape) if workspace is None else workspace
     if ws.shape != x.shape:
         raise ValueError(f"workspace is for shape {ws.shape}, image is {x.shape}")
-    c = ws.analyze(x, levels)
-    g = np.clip(c, -gamma, gamma, out=ws.shrink)  # soft_threshold, in place
-    g[:x.shape[0] >> levels, :x.shape[1] >> levels] = 0.0
-    c -= g
+    ws.analyze(x, levels)
+    ws.shrink_details(gamma, levels)
     l1 = ws.detail_l1(levels) if with_l1 else None
     out = ws.synthesize(levels)
     return (out, l1) if with_l1 else out

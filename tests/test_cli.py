@@ -226,6 +226,22 @@ def test_nonfinite_parameter_exits_one_naming_it(tmp_path, key, value):
     assert not (tmp_path / "o").exists()  # rejected before any run
 
 
+@pytest.mark.parametrize("key,extra", [
+    ("psf_sigma", {}),
+    ("noise_sigma", {}),  # lambda = 10 noise_sigma^2 would carry the NaN
+    ("noise_sigma", {"lambda": 0.001}),  # the noise would make b non-finite
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_sigma_exits_one_naming_it(tmp_path, key, extra, value):
+    cfg = write_cfg(tmp_path / "d.cfg", image="synthetic:lena", size=32,
+                    variant="efista", iterations=3, out=str(tmp_path / "o"),
+                    **extra, **{key: value})
+    res = run_cli("deblur", "--config", cfg)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert f"{key} must be finite" in res.stderr
+    assert not (tmp_path / "o").exists()  # rejected before any run
+
+
 def test_table_empty_image_list_exits_one(tmp_path):
     cfg = write_cfg(tmp_path / "t.cfg", images="", out=str(tmp_path / "o"))
     res = run_cli("table", "--config", cfg)

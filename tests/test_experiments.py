@@ -125,6 +125,16 @@ def test_scenario_validation():
     assert Scenario(image_id="x", noise_sigma=0.01, K=5, lam=0.2).resolved_lambda() == 0.2
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_sigmas_are_rejected_by_name(value):
+    for key in ("noise_sigma", "psf_sigma"):
+        keys = {"image_id": "x", "noise_sigma": 0.01, "K": 5, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            Scenario(**keys)
+    with pytest.raises(ValueError, match="noise sigma must be nonnegative and finite"):
+        add_awgn(np.zeros((4, 4)), value, 0)
+
+
 @pytest.fixture(scope="module")
 def small_scenario():
     return Scenario(image_id="cameraman", noise_sigma=0.01, K=5, trials=2,

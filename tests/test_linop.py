@@ -56,6 +56,13 @@ def test_psf_validation():
         Psf(size=3, taps=bad)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_gaussian_psf_rejects_nonfinite_sigma(sigma):
+    # sigma = inf would give a uniform box kernel, not a Gaussian
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        make_gaussian_psf(7, sigma)
+
+
 def test_blur_matches_direct_summation(rng, psf31, psf52):
     x = rng.standard_normal((9, 11))
     for psf in (psf31, psf52):

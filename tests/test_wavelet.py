@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,38 @@ def test_reused_workspace_matches_fresh_calls(rng):
         want = prox_l1_wavelet(x, gamma, levels, with_l1=True)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     assert np.array_equal(kept.values, first)  # analyze returned coefficients it owns
+
+
+def test_prox_allocates_only_its_result_in_a_warm_workspace(rng):
+    # tracemalloc sees numpy's data buffers: a warmed workspace must run the
+    # whole prox without a hidden image-sized temporary, and a new one holds
+    # 3.5 images (coeffs, two lifting buffers, half-size pair sums) plus
+    # two spare rows per side
+    h, w = shape = (256, 256)
+    image = h * w * 8
+    x = rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        ws = LiftingWorkspace(shape)
+        assert tracemalloc.get_traced_memory()[1] <= 3.5 * image + 2 * (h + w) * 8 + 4096
+        prox_l1_wavelet(x, 0.1, 8, with_l1=True, workspace=ws)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ws.analyze(x, 8)
+        ws.shrink_details(0.1, 8)
+        ws.detail_l1(8)
+        # a temporary freed before the output exists would not raise the
+        # peak of the whole call, so the steps before synthesis are held
+        # to no allocation at all
+        steps_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        out, _ = prox_l1_wavelet(x, 0.1, 8, with_l1=True, workspace=ws)
+        call_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert steps_peak <= 4096
+    assert out.nbytes == image
+    assert call_peak <= image + 4096
 
 
 def test_workspace_shape_must_match_image():
