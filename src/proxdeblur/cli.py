@@ -24,12 +24,11 @@ from .experiments import (
     run_p_sweep,
     run_psnr_table,
     synthetic_image,
-    wavelet_depth,
     write_csv,
 )
 from .linop import blur_apply, make_gaussian_psf
 from .pgmio import read_pgm, write_pgm
-from .solvers import SolverConfig, Variant, run_solver, runs_diverged
+from .solvers import Variant, run_solver, runs_diverged
 
 __all__ = ["ConfigError", "parse_config", "main",
            "cmd_deblur", "cmd_curves", "cmd_sweep", "cmd_table"]
@@ -188,13 +187,9 @@ def cmd_deblur(cfg, quiet=False):
     image_id, images_dir = _image_source(cfg)
     variant = _variant_of(cfg["variant"])
     scenario = _scenario(cfg, image_id)
+    solver_cfg = scenario.solver_config(variant, cfg["n"], cfg["p"], cfg["iterations"])
     truth = load_image(image_id, images_dir, cfg["size"])
     psf = make_gaussian_psf(cfg["psf_size"], cfg["psf_sigma"])
-    solver_cfg = SolverConfig(
-        variant=variant, eta=cfg["eta"], lam=scenario.resolved_lambda(), n=cfg["n"],
-        p=cfg["p"], max_iters=cfg["iterations"],
-        wavelet_levels=wavelet_depth(truth.shape), record_psnr=True,
-    )
     b = add_awgn(blur_apply(psf, truth), cfg["noise_sigma"], cfg["seed"])
     x, trace = run_solver(solver_cfg, b, psf, x0=b, truth=truth)
     out = cfg["out"]

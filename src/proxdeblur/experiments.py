@@ -31,7 +31,6 @@ __all__ = [
     "psnr",
     "synthetic_image",
     "load_image",
-    "wavelet_depth",
     "run_convergence_test",
     "run_p_sweep",
     "run_psnr_table",
@@ -130,19 +129,6 @@ def load_image(image_id, images_dir=None, size=256):
     return synthetic_image(image_id, size)
 
 
-def wavelet_depth(shape, cap=8):
-    """Deepest usable decomposition for an image shape, capped (default 8)."""
-    h, w = shape
-    d = 0
-    while d < cap and h % 2 == 0 and w % 2 == 0 and h > 1 and w > 1:
-        h //= 2
-        w //= 2
-        d += 1
-    if d == 0:
-        raise ValueError(f"image dims {shape} do not admit a wavelet level")
-    return d
-
-
 @dataclass
 class Scenario:
     """One benchmark setting: image, blur, noise level and budgets.
@@ -183,23 +169,20 @@ class Scenario:
     def resolved_lambda(self):
         return 10.0 * self.noise_sigma**2 if self.lam is None else self.lam
 
+    def solver_config(self, variant, n, p, iters):
+        """The SolverConfig of a run of this scenario; building it checks
+        the settings, so callers build every config before the first run."""
+        return SolverConfig(variant=variant, eta=self.eta, lam=self.resolved_lambda(),
+                            n=n, p=p, max_iters=iters)
 
-def _map_trials(fn, trials, workers):
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    if workers is None:
-        workers = min(trials, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+
+def _map_trials(fn, trials):
+    with ThreadPoolExecutor(max_workers=min(trials, os.cpu_count() or 1)) as ex:
         return list(ex.map(fn, range(trials)))
 
 
-def _run_trial(truth, psf, scenario, variant, n, p, iters, trial):
+def _run_trial(truth, psf, scenario, cfg, trial):
     b = add_awgn(blur_apply(psf, truth), scenario.noise_sigma, scenario.seed + trial)
-    cfg = SolverConfig(
-        variant=variant, eta=scenario.eta, lam=scenario.resolved_lambda(),
-        n=n, p=p, max_iters=iters,
-        wavelet_levels=wavelet_depth(truth.shape), record_psnr=True,
-    )
     return run_solver(cfg, b, psf, x0=b, truth=truth)
 
 
@@ -248,8 +231,7 @@ def _nanmean_rows(mat):
     return out
 
 
-def run_convergence_test(scenario, variants, n_values, out_dir=None,
-                         images_dir=None, workers=None):
+def run_convergence_test(scenario, variants, n_values, out_dir=None, images_dir=None):
     """Objective/PSNR traces per variant, per order n, per trial.
 
     Returns {variant: {n: {"objective", "psnr", "mean_objective", "diverged"}}}
@@ -258,19 +240,20 @@ def run_convergence_test(scenario, variants, n_values, out_dir=None,
     plus across-trial mean rows (trial column "mean").  Divergence is
     recorded in-band; the run always completes.
     """
+    # per variant, one config per distinct order SolverConfig resolves n_values to
+    configs = {}
+    for variant in map(Variant, variants):
+        cfgs = [scenario.solver_config(variant, n, None, scenario.K) for n in n_values]
+        configs[variant] = {cfg.n: cfg for cfg in cfgs}
     truth = load_image(scenario.image_id, images_dir, scenario.image_size)
     psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
     results = {}
-    for variant in variants:
-        variant = Variant(variant)
-        # the distinct orders SolverConfig resolves n_values to for this variant
-        ns = dict.fromkeys(SolverConfig(variant=variant, n=n).n for n in n_values)
+    for variant, per_order in configs.items():
         per_n = {}
         rows = []
-        for n in ns:
-            runs = _map_trials(
-                lambda t: _run_trial(truth, psf, scenario, variant, n, None, scenario.K, t),
-                scenario.trials, workers)
+        for n, cfg in per_order.items():
+            runs = _map_trials(lambda t: _run_trial(truth, psf, scenario, cfg, t),
+                               scenario.trials)
             traces = [trace for _, trace in runs]
             obj = _trace_matrix(traces, scenario.K, "objective")
             psn = _trace_matrix(traces, scenario.K, "psnr")
@@ -335,8 +318,7 @@ class PSweepResult:
         return best.p
 
 
-def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None,
-                images_dir=None, workers=None):
+def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None, images_dir=None):
     """Sweep the threshold scale p at fixed order n.
 
     For each p the scenario is run scenario.trials times for scenario.K
@@ -347,19 +329,19 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None,
     if not 1 <= probe_iter <= scenario.K:
         raise ValueError(
             f"probe_iter must be in [1, K={scenario.K}], got {probe_iter}")
+    configs = [scenario.solver_config(Variant.EFISTA, n, float(p), scenario.K)
+               for p in p_values]
     truth = load_image(scenario.image_id, images_dir, scenario.image_size)
     psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
     result = PSweepResult(image_id=scenario.image_id, n=n, probe_iter=probe_iter)
-    for p in p_values:
-        runs = _map_trials(
-            lambda t: _run_trial(truth, psf, scenario, Variant.EFISTA, n, float(p),
-                                 scenario.K, t),
-            scenario.trials, workers)
+    for cfg in configs:
+        runs = _map_trials(lambda t: _run_trial(truth, psf, scenario, cfg, t),
+                           scenario.trials)
         traces = [trace for _, trace in runs]
         mean_obj = _nanmean_rows(_trace_matrix(traces, scenario.K, "objective"))
         diverged = runs_diverged([tr.diverged for tr in traces], mean_obj)
         fprobe = float(mean_obj[probe_iter - 1])
-        result.points.append(PSweepPoint(p=float(p), objective=fprobe, diverged=diverged))
+        result.points.append(PSweepPoint(p=cfg.p, objective=fprobe, diverged=diverged))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         name = f"psweep_{scenario.image_id}_n{n}.csv"
@@ -400,29 +382,31 @@ class ResultTable:
         return "\n".join(lines)
 
 
-def run_psnr_table(scenarios, out_dir=None, images_dir=None, workers=None):
+def run_psnr_table(scenarios, out_dir=None, images_dir=None):
     """Averaged final PSNR per algorithm: the baseline at K iterations, the
     weighted variants at K // iter_divisor.
 
     Returns a ResultTable; with out_dir set also writes table.csv and the
     rendered table.txt.
     """
-    table = ResultTable()
+    configs = []
     for sc in scenarios:
-        truth = load_image(sc.image_id, images_dir, sc.image_size)
-        psf = make_gaussian_psf(sc.psf_size, sc.psf_sigma)
         kw = max(sc.K // sc.iter_divisor, 1) if sc.K > 0 else 0
         algs = [("FISTA", Variant.FISTA, sc.K), ("IFISTA", Variant.IFISTA, kw),
                 ("EFISTA", Variant.EFISTA, kw)]
-        for name, variant, iters in algs:
-            runs = _map_trials(
-                lambda t: _run_trial(truth, psf, sc, variant, sc.n, None, iters, t),
-                sc.trials, workers)
+        configs.append([(name, sc.solver_config(variant, sc.n, None, iters))
+                        for name, variant, iters in algs])
+    table = ResultTable()
+    for sc, algs in zip(scenarios, configs):
+        truth = load_image(sc.image_id, images_dir, sc.image_size)
+        psf = make_gaussian_psf(sc.psf_size, sc.psf_sigma)
+        for name, cfg in algs:
+            runs = _map_trials(lambda t: _run_trial(truth, psf, sc, cfg, t), sc.trials)
             psnrs = np.array([psnr(x, truth) for x, _ in runs])
             secs = np.array([sum(rec.seconds for rec in tr.records) for _, tr in runs])
             table.rows.append(TableRow(
                 image_id=sc.image_id, sigma=sc.noise_sigma, algorithm=name,
-                iters=iters, psnr_mean=float(psnrs.mean()),
+                iters=cfg.max_iters, psnr_mean=float(psnrs.mean()),
                 psnr_std=float(psnrs.std()), secs_mean=float(secs.mean()),
             ))
     if out_dir is not None:

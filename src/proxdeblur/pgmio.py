@@ -1,9 +1,10 @@
-"""Minimal PGM (P2 ASCII / P5 binary) image I/O.
+"""Minimal PGM image I/O.
 
-Images are exchanged with the solvers as float arrays in [0, 1]; files store
-integer samples against a declared maxval.  Reading normalizes by maxval,
-writing clamps to [0, 1] and quantizes with round-half-away-from-zero.
-Malformed files raise OSError with the byte offset of the problem.
+Images are exchanged with the solvers as float arrays in [0, 1].  Reading
+takes P2 (ASCII) or P5 (binary) files with 8- or 16-bit samples and
+normalizes by the declared maxval; malformed files raise OSError with the
+byte offset of the problem.  Writing produces 8-bit P5, clamping to [0, 1]
+and quantizing with round-half-away-from-zero.
 """
 
 import numpy as np
@@ -90,37 +91,13 @@ def read_pgm(path):
     return samples.reshape(height, width) / maxval
 
 
-def write_pgm(path, img, maxval=255, binary=True):
-    """Write a float image in [0, 1] as PGM; values outside [0, 1] clamp.
-
-    binary selects P5, otherwise P2 with lines kept under 70 characters.
-    """
+def write_pgm(path, img):
+    """Write a float image in [0, 1] as 8-bit P5 PGM; values outside [0, 1] clamp."""
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ValueError(f"image must be 2D, got shape {img.shape}")
-    if not 1 <= int(maxval) <= 65535 or int(maxval) != maxval:
-        raise ValueError(f"maxval must be an integer in [1, 65535], got {maxval}")
-    maxval = int(maxval)
-    q = np.floor(np.clip(img, 0.0, 1.0) * maxval + 0.5).astype(np.uint32)
-    q = np.minimum(q, maxval)
+    q = np.floor(np.clip(img, 0.0, 1.0) * 255 + 0.5).astype(np.uint8)
     height, width = img.shape
-    if binary:
-        header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        with open(path, "wb") as f:
-            f.write(header)
-            f.write(q.astype(dtype).tobytes())
-        return
-    lines = ["P2", f"{width} {height}", f"{maxval}"]
-    for row in q:
-        cur = ""
-        for v in row:
-            tok = str(int(v))
-            if cur and len(cur) + 1 + len(tok) > 69:
-                lines.append(cur)
-                cur = tok
-            else:
-                cur = tok if not cur else f"{cur} {tok}"
-        lines.append(cur)
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    with open(path, "wb") as f:
+        f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        f.write(q.tobytes())

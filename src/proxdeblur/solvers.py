@@ -16,6 +16,9 @@ the W_n filter phi (1 for n = 1).  The step then keeps Cx next to x: Cy
 follows from it by the linearity of the momentum, and the data term is
 1/2 ||lam Cx - Cb||^2 by Parseval.  Other kernels take the matrix-free
 n-step recursion.
+
+A run stops after max_iters steps, or early when the objective goes
+non-finite or grows past DIVERGENCE_FACTOR times its initial value.
 """
 
 import dataclasses
@@ -28,10 +31,11 @@ from enum import Enum
 import numpy as np
 
 from .linop import blur_apply, dct2, idct2
-from .wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet
+from .wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet, wavelet_depth
 from .weighting import apply_weighted_gradient_nstep, operator_plan
 
 __all__ = [
+    "DIVERGENCE_FACTOR",
     "Variant",
     "SolverConfig",
     "SolverState",
@@ -47,6 +51,10 @@ __all__ = [
     "runs_diverged",
 ]
 
+# A run whose objective exceeds this multiple of its initial value is
+# stopped and flagged as diverged.
+DIVERGENCE_FACTOR = 1e6
+
 
 class Variant(str, Enum):
     ISTA = "ista"
@@ -60,9 +68,11 @@ class SolverConfig:
     """Parameters of one solver run.
 
     p = None asks for the default threshold scale lambda_max(W_n), resolved
-    from the actual spectrum when the run starts.  For ISTA and FISTA the
-    order n is forced to 1, and for everything but EFISTA the threshold
-    scale p is forced to 1 (those reductions define the variants).
+    from the actual spectrum when the run starts, and wavelet_levels = None
+    for the deepest decomposition the image shape admits (wavelet_depth).
+    For ISTA and FISTA the order n is forced to 1, and for everything but
+    EFISTA the threshold scale p is forced to 1 (those reductions define
+    the variants).
     """
 
     variant: Variant
@@ -71,10 +81,7 @@ class SolverConfig:
     n: int = 1
     p: float | None = None
     max_iters: int = 50
-    wavelet_levels: int = 8
-    record_psnr: bool = False
-    tol: float | None = None
-    divergence_factor: float = 1e6
+    wavelet_levels: int | None = None
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
@@ -159,7 +166,7 @@ class IterationRecord:
 @dataclass
 class IterationTrace:
     """Per-iteration records, a divergence tag for runs that blew up, and
-    the run's config with every default resolved (p included)."""
+    the run's config with every default resolved (p and wavelet_levels)."""
 
     records: list = field(default_factory=list)
     diverged: bool = False
@@ -277,16 +284,17 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     """Run max_iters solver steps from x0 (default: the data b itself).
 
     Returns (x, trace): x is the iterate of the last record (x0 when there
-    is none) and trace.config the config with p resolved.  A run whose
-    objective explodes past divergence_factor times its initial value, or
-    goes non-finite, stops early with trace.diverged set rather than
-    raising; a non-finite iterate is not recorded.  With cfg.tol set, the
-    run also stops once the relative objective change drops below tol.
+    is none) and trace.config the config with p and wavelet_levels
+    resolved.  A run whose objective explodes past DIVERGENCE_FACTOR times
+    its initial value, or goes non-finite, stops early with trace.diverged
+    set rather than raising; a non-finite iterate is not recorded.  Each
+    record carries the PSNR against truth when truth is given.
 
     Raises
     ------
     ValueError
-        If b or x0 is not finite, or their shapes differ.
+        If b or x0 is not finite, their shapes differ, or the shape admits
+        no wavelet level.
     """
     b = np.asarray(b, dtype=float)
     x0 = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -295,6 +303,8 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
             raise ValueError(f"{name} has non-finite entries")
     if x0.shape != b.shape:
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs b {b.shape}")
+    if cfg.wavelet_levels is None:
+        cfg = dataclasses.replace(cfg, wavelet_levels=wavelet_depth(b.shape))
     problem = Problem.build(cfg, b, psf)
     cfg = _resolve_p(cfg, problem.plan)
 
@@ -304,7 +314,6 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
 
     state = SolverState.start(x0, problem)
     f0 = objective(x0, b, psf, cfg.lam, cfg.wavelet_levels)
-    f_prev = f0
     for _ in range(cfg.max_iters):
         x_prev = state.x  # the step rebinds state.x, never writes into it
         t0 = time.perf_counter()
@@ -316,19 +325,13 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         if not math.isfinite(fval):
             trace.diverged = True
             return x_prev, trace
-        psnr_val = None
-        if cfg.record_psnr and truth is not None:
-            psnr_val = psnr(state.x, truth)
         trace.records.append(IterationRecord(
-            iter=state.iter, objective=fval, data_term=data,
-            regularizer=reg, psnr=psnr_val, seconds=dt,
+            iter=state.iter, objective=fval, data_term=data, regularizer=reg,
+            psnr=None if truth is None else psnr(state.x, truth), seconds=dt,
         ))
-        if f0 > 0 and fval > cfg.divergence_factor * f0:
+        if f0 > 0 and fval > DIVERGENCE_FACTOR * f0:
             trace.diverged = True
             break
-        if cfg.tol is not None and abs(fval - f_prev) <= cfg.tol * abs(f_prev):
-            break
-        f_prev = fval
     return state.x, trace
 
 

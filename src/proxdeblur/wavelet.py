@@ -34,6 +34,7 @@ __all__ = [
     "GAMMA",
     "DELTA",
     "ZETA",
+    "MAX_LEVELS",
     "WaveletCoeffs",
     "LiftingWorkspace",
     "analyze",
@@ -41,6 +42,7 @@ __all__ = [
     "soft_threshold",
     "prox_l1_wavelet",
     "l1_norm_wavelet",
+    "wavelet_depth",
 ]
 
 ALPHA = -1.586134342059924
@@ -52,6 +54,8 @@ ZETA = 1.1496043988602418
 # less overhead than a Python float; the arithmetic is the same.
 _ALPHA, _BETA, _GAMMA, _DELTA, _ZETA, _TWO = (
     np.broadcast_to(v, ()) for v in (ALPHA, BETA, GAMMA, DELTA, ZETA, 2.0))
+# The deepest decomposition wavelet_depth gives, that of a 256x256 image.
+MAX_LEVELS = 8
 
 
 @dataclass
@@ -81,6 +85,20 @@ def _check_dims(x, levels):
     if h % d or w % d:
         raise ValueError(f"image dims {w}x{h} not divisible by 2^levels = {d}")
     return x
+
+
+def wavelet_depth(shape):
+    """Deepest decomposition an image shape admits, at most MAX_LEVELS:
+    the number of times both sides can be halved exactly."""
+    h, w = shape
+    d = 0
+    while d < MAX_LEVELS and h % 2 == 0 and w % 2 == 0 and h > 1 and w > 1:
+        h //= 2
+        w //= 2
+        d += 1
+    if d == 0:
+        raise ValueError(f"image dims {shape} do not admit a wavelet level")
+    return d
 
 
 class _HalfBands:

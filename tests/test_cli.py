@@ -10,7 +10,7 @@ import pytest
 
 import proxdeblur
 from proxdeblur.experiments import psnr, synthetic_image
-from proxdeblur.pgmio import read_pgm, write_pgm
+from proxdeblur.pgmio import read_pgm
 
 # the directory the test process imported proxdeblur from, as an absolute
 # path, so the child runs the same code whatever its cwd
@@ -152,8 +152,8 @@ def test_usage_error_exits_one():
 
 
 def test_deblur_accepts_pgm_input(tmp_path):
-    img = synthetic_image("pirate", 32)
-    write_pgm(str(tmp_path / "pirate.pgm"), img, maxval=65535)
+    raster = np.floor(synthetic_image("pirate", 32) * 65535 + 0.5).astype(">u2").tobytes()
+    (tmp_path / "pirate.pgm").write_bytes(b"P5\n32 32\n65535\n" + raster)
     cfg = write_cfg(tmp_path / "run.cfg",
                     image=str(tmp_path / "pirate.pgm"), noise_sigma=0,
                     variant="fista", iterations=3, out=str(tmp_path / "o"))
@@ -240,6 +240,54 @@ def test_nonfinite_sigma_exits_one_naming_it(tmp_path, key, extra, value):
     assert res.returncode == 1, res.stdout + res.stderr
     assert f"{key} must be finite" in res.stderr
     assert not (tmp_path / "o").exists()  # rejected before any run
+
+
+@pytest.mark.parametrize("command,keys,message", [
+    ("curves", dict(variants="fista, efista", n_values="0"), "order n must be >= 1, got 0"),
+    ("sweep", dict(n=8, probe_iter=3, p_values="1, 0.5"),
+     "threshold scale p must be >= 1, got 0.5"),
+    ("table", dict(images="cameraman", noise_levels="0.01", K_values="3", n=0),
+     "order n must be >= 1, got 0"),
+], ids=["curves", "sweep", "table"])
+def test_every_setting_is_checked_before_the_first_trial(monkeypatch, capsys, tmp_path,
+                                                         command, keys, message):
+    from proxdeblur import cli, experiments
+
+    def no_image(*args, **kwargs):
+        raise AssertionError("image loaded before every setting was checked")
+
+    monkeypatch.setattr(experiments, "load_image", no_image)
+    cfg = write_cfg(tmp_path / "c.cfg", image="synthetic:lena", size=32, noise_sigma=0.01,
+                    iterations=3, trials=1, out=str(tmp_path / "o"), **keys)
+    assert cli.main([command, "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scenarios")
+
+
+@pytest.mark.parametrize("name,command,code,artifacts", [
+    ("deblur_demo", "deblur", 0, ["blurred.pgm", "deblurred.pgm", "trace.csv"]),
+    ("curves_cameraman", "curves", 2,
+     [f"curves_cameraman_sigma0.01_{v}.csv" for v in ("efista", "fista", "ifista")]),
+    ("psweep_cameraman", "sweep", 0, ["psweep_cameraman_n8.csv"]),
+    ("psnr_table", "table", 0, ["table.csv", "table.txt"]),
+], ids=["deblur_demo", "curves_cameraman", "psweep_cameraman", "psnr_table"])
+def test_committed_scenarios_run_at_a_small_size(tmp_path, name, command, code, artifacts):
+    from proxdeblur import cli
+
+    small = {"size": "32", "trials": "2", "images": "cameraman, lena"}
+    lines = []
+    with open(os.path.join(SCENARIOS, f"{name}.cfg"), encoding="utf-8") as f:
+        for line in f:
+            key = line.split("=", 1)[0].strip()
+            lines.append(f"{key} = {small[key]}\n" if key in small else line)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+    assert sorted(os.listdir(out)) == artifacts
 
 
 def test_table_empty_image_list_exits_one(tmp_path):

@@ -17,7 +17,7 @@ from proxdeblur.solvers import (
     run_solver,
     runs_diverged,
 )
-from proxdeblur.wavelet import prox_l1_wavelet
+from proxdeblur.wavelet import prox_l1_wavelet, wavelet_depth
 from proxdeblur.weighting import operator_plan
 
 
@@ -139,11 +139,13 @@ def test_runs_are_deterministic(tiny_problem):
     assert t1.objectives().tolist() == t2.objectives().tolist()
 
 
-def test_hard_divergence_guard(tiny_problem):
+def test_hard_divergence_guard(monkeypatch, tiny_problem):
+    from proxdeblur import solvers
+
     psf, b = tiny_problem
     # an absurdly low factor flags the very first iteration
-    cfg = SolverConfig(variant="fista", lam=1e-3, max_iters=10,
-                       wavelet_levels=2, divergence_factor=1e-12)
+    monkeypatch.setattr(solvers, "DIVERGENCE_FACTOR", 1e-12)
+    cfg = SolverConfig(variant="fista", lam=1e-3, max_iters=10, wavelet_levels=2)
     _, trace = run_solver(cfg, b, psf)
     assert trace.diverged
     assert len(trace) == 1  # the offending record is kept
@@ -176,6 +178,35 @@ def test_nonfinite_input_is_rejected_before_the_plan(monkeypatch, tiny_problem, 
     with pytest.raises(ValueError, match=rf"^{arg} has non-finite"):
         run_solver(SolverConfig(variant="efista", lam=1e-3, n=8, max_iters=5,
                                 wavelet_levels=2), inputs["b"], psf, x0=inputs["x0"])
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 64)])
+def test_default_wavelet_levels_follow_the_shape(rng, psf31, shape):
+    b = rng.uniform(0, 1, shape)
+    x, trace = run_solver(SolverConfig(variant="efista", lam=1e-3, n=4, max_iters=3), b, psf31)
+    assert trace.config.wavelet_levels == wavelet_depth(shape)
+    x_ref, tr_ref = run_solver(SolverConfig(variant="efista", lam=1e-3, n=4, max_iters=3,
+                                            wavelet_levels=wavelet_depth(shape)), b, psf31)
+    assert np.array_equal(x, x_ref)
+    assert trace.objectives().tolist() == tr_ref.objectives().tolist()
+
+
+def test_explicit_wavelet_levels_are_kept(tiny_problem):
+    psf, b = tiny_problem
+    cfg = SolverConfig(variant="efista", lam=1e-3, n=8, max_iters=2, wavelet_levels=2)
+    assert run_solver(cfg, b, psf)[1].config.wavelet_levels == 2
+
+
+def test_shape_without_a_wavelet_level_is_rejected_before_the_plan(monkeypatch, rng, psf31):
+    from proxdeblur import solvers
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("operator plan built for a shape with no wavelet level")
+
+    monkeypatch.setattr(solvers, "operator_plan", no_plan)
+    with pytest.raises(ValueError, match="do not admit a wavelet level"):
+        run_solver(SolverConfig(variant="efista", lam=1e-3, n=8, max_iters=5),
+                   rng.uniform(0, 1, (17, 23)), psf31)
 
 
 @pytest.mark.parametrize("kernel", ["psf31", "asymmetric_psf"])
@@ -251,19 +282,10 @@ def test_spectral_and_nstep_routes_agree(tiny_problem):
     assert np.abs(tr_s.objectives() - obj_n).max() < 1e-8
 
 
-def test_tol_stops_early(tiny_problem):
-    psf, b = tiny_problem
-    cfg = SolverConfig(variant="fista", lam=1e-3, max_iters=200,
-                       wavelet_levels=2, tol=1e-3)
-    _, trace = run_solver(cfg, b, psf)
-    assert 0 < len(trace) < 200
-
-
 def test_psnr_recording(tiny_problem, rng):
     psf, b = tiny_problem
     truth = rng.uniform(0, 1, b.shape)
-    cfg = SolverConfig(variant="fista", lam=1e-3, max_iters=3,
-                       wavelet_levels=2, record_psnr=True)
+    cfg = SolverConfig(variant="fista", lam=1e-3, max_iters=3, wavelet_levels=2)
     _, trace = run_solver(cfg, b, psf, truth=truth)
     assert all(r.psnr is not None for r in trace.records)
     _, trace2 = run_solver(cfg, b, psf)
