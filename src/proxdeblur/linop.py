@@ -6,9 +6,9 @@ kernels that are flip-symmetric in both axes this operator is diagonalized by
 the orthonormal 2D DCT-II, A = C^T diag(lam) C, so every product with A or
 A^T becomes a pointwise product in the DCT domain.  operator_spectrum is the
 one path to the operator's spectral facts: it holds lam (from
-spectral_decompose) and lambda_max(A^T A), or a power-iteration estimate of
-the latter for other kernels, computed once per (kernel, shape) and cached.
-lambda_max_AtA reads that cache.
+spectral_decompose) and lambda_max(A^T A), which for other kernels comes
+from one Lanczos solve on the matrix-free A^T A, computed once per
+(kernel, shape) and cached.  lambda_max_AtA reads that cache.
 """
 
 import math
@@ -197,39 +197,26 @@ def spectral_decompose(psf, shape):
     return lam
 
 
-def _power_iteration(psf, shape):
-    """Estimate of the largest eigenvalue of A^T A by power iteration.
+def _lanczos_lambda_max(psf, shape):
+    """Largest eigenvalue of A^T A, exact to round-off, by ARPACK's Lanczos
+    (eigsh) on the matrix-free A^T A from a seeded, so deterministic, start.
+    scipy.sparse is imported here so other runs do not pay for it."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
-    At most 10000 passes; stops once two successive estimates differ by at
-    most 1e-8 relative.  That is a stopping rule, not an error bound.  Each
-    estimate ||A^T A v|| with unit v is at most the eigenvalue, but with the
-    clustered top of a blur spectrum the last one can sit far more than 1e-8
-    below it: 1.4e-7 relative at 16x16 for a skewed 3x3 kernel, 5.4e-7 at
-    64x64 and 2.3e-6 at 128x128 for a 7x7 Gaussian centred half a tap off.
-    """
-    max_iters = 10000
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(shape)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(max_iters):
-        v = blur_adjoint(psf, blur_apply(psf, v))
-        lam = np.linalg.norm(v)
-        if lam == 0.0:
-            return 0.0
-        v /= lam
-        if abs(lam - lam_prev) <= 1e-8 * lam:
-            return float(lam)
-        lam_prev = lam
-    raise ArithmeticError(
-        f"power iteration did not converge after {max_iters} iterations"
-    )
+    size = shape[0] * shape[1]
+    AtA = LinearOperator(
+        (size, size), dtype=float,
+        matvec=lambda v: blur_adjoint(psf, blur_apply(psf, v.reshape(shape))).ravel())
+    v0 = np.random.default_rng(0).standard_normal(size)
+    return float(eigsh(AtA, k=1, which="LA", tol=1e-12, v0=v0,
+                       return_eigenvectors=False)[0])
 
 
 def lambda_max_AtA(psf, width, height):
     """Largest eigenvalue of A^T A on height x width images, read from the
-    cached operator_spectrum: exact from the DCT eigenvalues when the
-    kernel is doubly symmetric, a power-iteration estimate otherwise."""
+    cached operator_spectrum: from the DCT eigenvalues when the kernel is
+    doubly symmetric, from a Lanczos solve otherwise; both are exact to
+    round-off."""
     return operator_spectrum(psf, (height, width)).lambda_max_AtA
 
 
@@ -264,8 +251,9 @@ class OperatorSpectrum:
     """What the solver needs of A for one (kernel, shape), eta aside.
 
     lam holds the signed DCT eigenvalues of A (None when the kernel is not
-    doubly symmetric, so A has no DCT form); lambda_max_AtA is exact from
-    lam, or the power-iteration estimate otherwise.
+    doubly symmetric, so A has no DCT form); lambda_max_AtA is the largest
+    of lam^2, or the Lanczos eigenvalue otherwise, exact to round-off
+    either way.
     """
 
     lam: np.ndarray | None
@@ -284,13 +272,13 @@ def operator_spectrum(psf, shape):
     """The cached OperatorSpectrum of psf on (height, width) images.
 
     For a doubly symmetric kernel this is one spectral_decompose (self-check
-    included); otherwise one power iteration.
+    included); otherwise one Lanczos solve (_lanczos_lambda_max).
     """
     h, w = shape
 
     def build():
         if not psf.is_doubly_symmetric():
-            return OperatorSpectrum(lam=None, lambda_max_AtA=_power_iteration(psf, shape))
+            return OperatorSpectrum(lam=None, lambda_max_AtA=_lanczos_lambda_max(psf, shape))
         lam = spectral_decompose(psf, shape)
         lam.flags.writeable = False
         return OperatorSpectrum(lam=lam, lambda_max_AtA=float((lam * lam).max()))

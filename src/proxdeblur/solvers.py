@@ -31,7 +31,8 @@ from enum import Enum
 import numpy as np
 
 from .linop import blur_apply, dct2, idct2
-from .wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet, wavelet_depth
+from .wavelet import (LiftingWorkspace, check_dims, l1_norm_wavelet, prox_l1_wavelet,
+                      wavelet_depth)
 from .weighting import apply_weighted_gradient_nstep, operator_plan
 
 __all__ = [
@@ -293,8 +294,8 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     Raises
     ------
     ValueError
-        If b or x0 is not finite, their shapes differ, or the shape admits
-        no wavelet level.
+        If b or x0 is not finite, their shapes differ, the shape admits no
+        wavelet level, or wavelet_levels does not divide it.
     """
     b = np.asarray(b, dtype=float)
     x0 = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -305,6 +306,7 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         raise ValueError(f"shape mismatch: x0 {x0.shape} vs b {b.shape}")
     if cfg.wavelet_levels is None:
         cfg = dataclasses.replace(cfg, wavelet_levels=wavelet_depth(b.shape))
+    check_dims(b, cfg.wavelet_levels)
     problem = Problem.build(cfg, b, psf)
     cfg = _resolve_p(cfg, problem.plan)
 

@@ -43,6 +43,7 @@ __all__ = [
     "prox_l1_wavelet",
     "l1_norm_wavelet",
     "wavelet_depth",
+    "check_dims",
 ]
 
 ALPHA = -1.586134342059924
@@ -72,7 +73,9 @@ class WaveletCoeffs:
         return slice(0, self.height >> self.levels), slice(0, self.width >> self.levels)
 
 
-def _check_dims(x, levels):
+def check_dims(x, levels):
+    """x as a float array, after checking that it is 2D and that both its
+    sides are divisible by 2^levels, levels an integer >= 1."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2D image, got shape {x.shape}")
@@ -282,7 +285,7 @@ def analyze(x, levels):
     transform near-orthonormal (coefficient energy within about 25% of image
     energy on generic inputs).
     """
-    x = _check_dims(x, levels)
+    x = check_dims(x, levels)
     h, w = x.shape
     return WaveletCoeffs(width=w, height=h, levels=levels,
                          values=LiftingWorkspace(x.shape).analyze(x, levels))
@@ -290,7 +293,7 @@ def analyze(x, levels):
 
 def synthesize(c):
     """Exact inverse of analyze."""
-    values = _check_dims(c.values, c.levels)
+    values = check_dims(c.values, c.levels)
     ws = LiftingWorkspace(values.shape)
     np.copyto(ws.coeffs, values)
     return ws.synthesize(c.levels)
@@ -321,7 +324,7 @@ def prox_l1_wavelet(x, gamma, levels, with_l1=False, workspace=None):
     """
     if gamma < 0:
         raise ValueError(f"threshold must be nonnegative, got {gamma}")
-    x = _check_dims(x, levels)
+    x = check_dims(x, levels)
     ws = LiftingWorkspace(x.shape) if workspace is None else workspace
     if ws.shape != x.shape:
         raise ValueError(f"workspace is for shape {ws.shape}, image is {x.shape}")
@@ -334,7 +337,7 @@ def prox_l1_wavelet(x, gamma, levels, with_l1=False, workspace=None):
 
 def l1_norm_wavelet(x, levels):
     """Sum of |coefficient| over the detail bands (approximation excluded)."""
-    x = _check_dims(x, levels)
+    x = check_dims(x, levels)
     ws = LiftingWorkspace(x.shape)
     ws.analyze(x, levels)
     return ws.detail_l1(levels)

@@ -32,9 +32,11 @@ def run_cli(*args, cwd=None):
 
 def test_import_does_not_load_scipy_signal_or_stats():
     # scipy.signal (and the scipy.stats it pulls in) would double the
-    # import time and add about 50 MB of resident memory
-    code = ("import sys, proxdeblur, proxdeblur.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    # import time and add about 50 MB of resident memory; scipy.sparse,
+    # which only the Lanczos solve for kernels without flip symmetry
+    # needs, would add about 0.1 s
+    code = ("import sys, proxdeblur, proxdeblur.cli; print([m for m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.sparse') if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=child_env(), timeout=300)
     assert res.returncode == 0, res.stderr

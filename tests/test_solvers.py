@@ -209,6 +209,28 @@ def test_shape_without_a_wavelet_level_is_rejected_before_the_plan(monkeypatch, 
                    rng.uniform(0, 1, (17, 23)), psf31)
 
 
+def test_wavelet_levels_the_shape_does_not_divide_are_rejected_before_the_plan(
+        monkeypatch, psf74):
+    from proxdeblur import solvers
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("operator plan built for wavelet levels the shape does not admit")
+
+    monkeypatch.setattr(solvers, "operator_plan", no_plan)
+    with pytest.raises(ValueError, match="image dims 48x48 not divisible by 2\\^levels = 32"):
+        run_solver(SolverConfig(variant="efista", lam=1e-3, n=8, max_iters=5, wavelet_levels=5),
+                   np.zeros((48, 48)), psf74)
+
+
+def test_step_size_just_above_the_bound_is_rejected_without_flip_symmetry(rng, asymmetric_psf):
+    # 1/eta is 1.4e-7 relative below lambda_max(A^T A) = 1.03339596 here,
+    # beyond the 1 + 1e-9 slack of the step-size check
+    b = rng.uniform(0, 1, (16, 16))
+    with pytest.raises(ValueError, match="exceeds 1/lambda_max"):
+        run_solver(SolverConfig(variant="efista", eta=1 / 1.0333958137368837, lam=1e-3,
+                                n=2, max_iters=2), b, asymmetric_psf)
+
+
 @pytest.mark.parametrize("kernel", ["psf31", "asymmetric_psf"])
 def test_nonfinite_stop_returns_last_recorded_iterate(monkeypatch, request, rng, kernel):
     # the 4th prox returns NaN: the run keeps 3 records and x is the 3rd iterate
