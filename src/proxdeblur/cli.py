@@ -1,6 +1,11 @@
 """Command-line harness: single deblur runs, convergence curves, threshold
 sweeps and the averaged PSNR table, driven by plain-text config files.
 
+_KEYS is the one table of config keys, with each key's parser, default and
+the Scenario field it sets.  Every command builds its kernel and all its
+solver configs before it loads an image, so a bad setting exits 1 before
+any run.
+
 Exit codes: 0 success, 1 usage/config/I-O error, 2 a run diverged (artifacts
 are still written so the failure can be inspected).
 """
@@ -23,12 +28,11 @@ from .experiments import (
     run_convergence_test,
     run_p_sweep,
     run_psnr_table,
-    synthetic_image,
     write_csv,
 )
 from .linop import blur_apply, make_gaussian_psf
-from .pgmio import read_pgm, write_pgm
-from .solvers import Variant, run_solver, runs_diverged
+from .pgmio import write_pgm
+from .solvers import run_solver, runs_diverged
 
 __all__ = ["ConfigError", "parse_config", "main",
            "cmd_deblur", "cmd_curves", "cmd_sweep", "cmd_table"]
@@ -42,77 +46,51 @@ def _auto_float(text):
     return None if text == "auto" else float(text)
 
 
-def _split_list(text):
-    return [item.strip() for item in text.split(",") if item.strip()]
+def _nonempty(text):
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
-def _float_list(text):
-    return [float(item) for item in _split_list(text)]
+def _list_of(parse):
+    def parse_list(text):
+        return tuple(parse(item.strip()) for item in text.split(",") if item.strip())
+    return parse_list
 
 
-def _int_list(text):
-    return [int(item) for item in _split_list(text)]
-
-
-_SCHEMA = {
-    "image": str,
-    "size": int,
-    "psf_size": int,
-    "psf_sigma": float,
-    "noise_sigma": float,
-    "variant": str,
-    "n": int,
-    "p": _auto_float,
-    "eta": float,
-    "lambda": _auto_float,
-    "iterations": int,
-    "trials": int,
-    "seed": int,
-    "out": str,
-    "images": _split_list,
-    "images_dir": str,
-    "noise_levels": _float_list,
-    "K_values": _int_list,
-    "iter_divisor": int,
-    "variants": _split_list,
-    "n_values": _int_list,
-    "p_values": _float_list,
-    "probe_iter": int,
+# key -> (parser, default, the Scenario field it sets or None); list values
+# are tuples, so no parsed config shares a mutable default
+_KEYS = {
+    "image": (str, "synthetic:cameraman", None),
+    "size": (int, 256, "image_size"),
+    "psf_size": (int, 7, "psf_size"),
+    "psf_sigma": (float, 4.0, "psf_sigma"),
+    "noise_sigma": (float, 0.01, "noise_sigma"),
+    "variant": (str, "fista", None),
+    "n": (int, 8, "n"),
+    "p": (_auto_float, None, None),
+    "eta": (float, 1.0, "eta"),
+    "lambda": (_auto_float, None, "lam"),
+    "iterations": (int, 50, "K"),
+    "trials": (int, 10, "trials"),
+    "seed": (int, 0, "seed"),
+    "out": (_nonempty, "out", None),
+    "images": (_list_of(str), STANDARD_IMAGES, None),
+    "images_dir": (str, None, None),
+    "noise_levels": (_list_of(float), (0.01, 0.001), None),
+    "K_values": (_list_of(int), (45, 180), None),
+    "iter_divisor": (int, 3, "iter_divisor"),
+    "variants": (_list_of(str), ("fista", "ifista", "efista"), None),
+    "n_values": (_list_of(int), (8,), None),
+    "p_values": (_list_of(float), tuple(float(p) for p in range(1, 9)), None),
+    "probe_iter": (int, 15, None),
 }
-
-
-def _defaults():
-    return {
-        "image": "synthetic:cameraman",
-        "size": 256,
-        "psf_size": 7,
-        "psf_sigma": 4.0,
-        "noise_sigma": 0.01,
-        "variant": "fista",
-        "n": 8,
-        "p": None,
-        "eta": 1.0,
-        "lambda": None,
-        "iterations": 50,
-        "trials": 10,
-        "seed": 0,
-        "out": "out",
-        "images": list(STANDARD_IMAGES),
-        "images_dir": None,
-        "noise_levels": [0.01, 0.001],
-        "K_values": [45, 180],
-        "iter_divisor": 3,
-        "variants": ["fista", "ifista", "efista"],
-        "n_values": [8],
-        "p_values": [float(p) for p in range(1, 9)],
-        "probe_iter": 15,
-    }
 
 
 def parse_config(path):
     """Parse a key = value config file; unknown keys, bad values and empty
     lists are rejected with the offending line number."""
-    cfg = _defaults()
+    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
@@ -127,14 +105,14 @@ def parse_config(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         try:
-            cfg[key] = _SCHEMA[key](value)
-        except (TypeError, ValueError):
+            cfg[key] = _KEYS[key][0](value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
             raise ConfigError(
                 f"{path}:{lineno}: bad value {value!r} for '{key}'") from None
-        if cfg[key] == []:
+        if cfg[key] == ():
             raise ConfigError(f"{path}:{lineno}: empty list for '{key}'")
     return cfg
 
@@ -157,39 +135,18 @@ def _image_source(cfg):
     return os.path.basename(image)[:-4], os.path.dirname(image) or "."
 
 
-def _variant_of(name):
-    try:
-        return Variant(name)
-    except ValueError:
-        valid = ", ".join(v.value for v in Variant)
-        raise ConfigError(f"unknown variant '{name}' (valid: {valid})") from None
-
-
 def _scenario(cfg, image_id):
-    return Scenario(
-        image_id=image_id,
-        noise_sigma=cfg["noise_sigma"],
-        K=cfg["iterations"],
-        psf_size=cfg["psf_size"],
-        psf_sigma=cfg["psf_sigma"],
-        eta=cfg["eta"],
-        lam=cfg["lambda"],
-        n=cfg["n"],
-        iter_divisor=cfg["iter_divisor"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        image_size=cfg["size"],
-    )
+    fields = {field: cfg[key] for key, (_, _, field) in _KEYS.items() if field}
+    return Scenario(image_id=image_id, **fields)
 
 
 def cmd_deblur(cfg, quiet=False):
     """Blur, add noise, solve once, write blurred/deblurred PGMs + trace CSV."""
     image_id, images_dir = _image_source(cfg)
-    variant = _variant_of(cfg["variant"])
     scenario = _scenario(cfg, image_id)
-    solver_cfg = scenario.solver_config(variant, cfg["n"], cfg["p"], cfg["iterations"])
-    truth = load_image(image_id, images_dir, cfg["size"])
+    solver_cfg = scenario.solver_config(cfg["variant"], cfg["n"], cfg["p"], cfg["iterations"])
     psf = make_gaussian_psf(cfg["psf_size"], cfg["psf_sigma"])
+    truth = load_image(image_id, images_dir, cfg["size"])
     b = add_awgn(blur_apply(psf, truth), cfg["noise_sigma"], cfg["seed"])
     x, trace = run_solver(solver_cfg, b, psf, x0=b, truth=truth)
     out = cfg["out"]
@@ -201,7 +158,8 @@ def cmd_deblur(cfg, quiet=False):
     if not quiet:
         final = trace.records[-1].objective if trace.records else float("nan")
         print(
-            f"{variant.value} n={trace.config.n} p={trace.config.p:g} iters={len(trace)}"
+            f"{trace.config.variant.value} n={trace.config.n} p={trace.config.p:g}"
+            f" iters={len(trace)}"
             f" objective={final:.6g} psnr={psnr(x, truth):.2f}dB"
             f" diverged={'yes' if diverged else 'no'}"
         )
@@ -212,8 +170,6 @@ def cmd_curves(cfg, quiet=False):
     """Convergence traces for several variants/orders, one CSV per variant."""
     image_id, images_dir = _image_source(cfg)
     scenario = _scenario(cfg, image_id)
-    for name in cfg["variants"]:
-        _variant_of(name)
     results = run_convergence_test(
         scenario, cfg["variants"], cfg["n_values"],
         out_dir=cfg["out"], images_dir=images_dir)
@@ -304,7 +260,8 @@ def main(argv=None):
     ]:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a key = value config file")
-        sp.add_argument("--out", default=None, help="output directory (overrides config)")
+        sp.add_argument("--out", type=_nonempty, default=None,
+                        help="output directory (overrides config)")
         sp.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)

@@ -3,14 +3,16 @@ and the averaged PSNR table, with CSV emission for external plotting.
 
 All runs are deterministic per (scenario, seed): trial t of a scenario uses
 seed + t, so re-running a scenario reproduces every CSV byte for byte apart
-from the wall-clock columns.  Trials execute in a thread pool; results are
-assembled in trial order regardless of completion order.
+from the wall-clock columns.  _run_trials runs the trials of one setting in
+a thread pool and returns them in trial order; _curve_row formats every
+convergence CSV row, per trial and across-trial mean alike.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -176,32 +178,35 @@ class Scenario:
                             n=n, p=p, max_iters=iters)
 
 
-def _map_trials(fn, trials):
-    with ThreadPoolExecutor(max_workers=min(trials, os.cpu_count() or 1)) as ex:
-        return list(ex.map(fn, range(trials)))
-
-
 def _run_trial(truth, psf, scenario, cfg, trial):
     b = add_awgn(blur_apply(psf, truth), scenario.noise_sigma, scenario.seed + trial)
     return run_solver(cfg, b, psf, x0=b, truth=truth)
+
+
+def _run_trials(truth, psf, scenario, cfg):
+    """(x, trace) of every trial of cfg on scenario, in trial order, run on
+    min(trials, cpu_count) threads."""
+    with ThreadPoolExecutor(max_workers=min(scenario.trials, os.cpu_count() or 1)) as ex:
+        return list(ex.map(partial(_run_trial, truth, psf, scenario, cfg),
+                           range(scenario.trials)))
 
 
 def _g17(v):
     return format(float(v), ".17g")
 
 
+def _curve_row(k, cfg, trial, objective, psnr, seconds):
+    """One convergence CSV row; a psnr of None or NaN prints blank."""
+    ps = "" if psnr is None or math.isnan(psnr) else _g17(psnr)
+    return (f"{k},{cfg.variant.value},{cfg.n},{_g17(cfg.p)},{trial},"
+            f"{_g17(objective)},{ps},{_g17(seconds)}")
+
+
 def format_trace_rows(trace, trial):
     """CSV rows (no header) for one trace, per the convergence schema, with
     variant, n and p from the trace's resolved config."""
-    cfg = trace.config
-    rows = []
-    for rec in trace.records:
-        ps = "" if rec.psnr is None else _g17(rec.psnr)
-        rows.append(
-            f"{rec.iter},{cfg.variant.value},{cfg.n},{_g17(cfg.p)},{trial},"
-            f"{_g17(rec.objective)},{ps},{_g17(rec.seconds)}"
-        )
-    return rows
+    return [_curve_row(rec.iter, trace.config, trial, rec.objective, rec.psnr, rec.seconds)
+            for rec in trace.records]
 
 
 def write_csv(path, header, rows):
@@ -245,16 +250,14 @@ def run_convergence_test(scenario, variants, n_values, out_dir=None, images_dir=
     for variant in map(Variant, variants):
         cfgs = [scenario.solver_config(variant, n, None, scenario.K) for n in n_values]
         configs[variant] = {cfg.n: cfg for cfg in cfgs}
-    truth = load_image(scenario.image_id, images_dir, scenario.image_size)
     psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
+    truth = load_image(scenario.image_id, images_dir, scenario.image_size)
     results = {}
     for variant, per_order in configs.items():
         per_n = {}
         rows = []
         for n, cfg in per_order.items():
-            runs = _map_trials(lambda t: _run_trial(truth, psf, scenario, cfg, t),
-                               scenario.trials)
-            traces = [trace for _, trace in runs]
+            traces = [trace for _, trace in _run_trials(truth, psf, scenario, cfg)]
             obj = _trace_matrix(traces, scenario.K, "objective")
             psn = _trace_matrix(traces, scenario.K, "psnr")
             mean_obj = _nanmean_rows(obj)
@@ -268,15 +271,9 @@ def run_convergence_test(scenario, variants, n_values, out_dir=None, images_dir=
             }
             for t, trace in enumerate(traces):
                 rows.extend(format_trace_rows(trace, t))
-            p = traces[0].config.p
-            for k in range(scenario.K):
-                if np.isnan(mean_obj[k]):
-                    continue
-                ps = "" if np.isnan(mean_psn[k]) else _g17(mean_psn[k])
-                rows.append(
-                    f"{k + 1},{variant.value},{n},{_g17(p)},mean,"
-                    f"{_g17(mean_obj[k])},{ps},{_g17(mean_sec[k])}"
-                )
+            rows.extend(_curve_row(k + 1, traces[0].config, "mean", mean_obj[k],
+                                   mean_psn[k], mean_sec[k])
+                        for k in range(scenario.K) if not np.isnan(mean_obj[k]))
         results[variant.value] = per_n
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
@@ -331,13 +328,11 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None, images_dir=None
             f"probe_iter must be in [1, K={scenario.K}], got {probe_iter}")
     configs = [scenario.solver_config(Variant.EFISTA, n, float(p), scenario.K)
                for p in p_values]
-    truth = load_image(scenario.image_id, images_dir, scenario.image_size)
     psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
+    truth = load_image(scenario.image_id, images_dir, scenario.image_size)
     result = PSweepResult(image_id=scenario.image_id, n=n, probe_iter=probe_iter)
     for cfg in configs:
-        runs = _map_trials(lambda t: _run_trial(truth, psf, scenario, cfg, t),
-                           scenario.trials)
-        traces = [trace for _, trace in runs]
+        traces = [trace for _, trace in _run_trials(truth, psf, scenario, cfg)]
         mean_obj = _nanmean_rows(_trace_matrix(traces, scenario.K, "objective"))
         diverged = runs_diverged([tr.diverged for tr in traces], mean_obj)
         fprobe = float(mean_obj[probe_iter - 1])
@@ -394,14 +389,14 @@ def run_psnr_table(scenarios, out_dir=None, images_dir=None):
         kw = max(sc.K // sc.iter_divisor, 1) if sc.K > 0 else 0
         algs = [("FISTA", Variant.FISTA, sc.K), ("IFISTA", Variant.IFISTA, kw),
                 ("EFISTA", Variant.EFISTA, kw)]
-        configs.append([(name, sc.solver_config(variant, sc.n, None, iters))
-                        for name, variant, iters in algs])
+        configs.append((make_gaussian_psf(sc.psf_size, sc.psf_sigma),
+                        [(name, sc.solver_config(variant, sc.n, None, iters))
+                         for name, variant, iters in algs]))
     table = ResultTable()
-    for sc, algs in zip(scenarios, configs):
+    for sc, (psf, algs) in zip(scenarios, configs):
         truth = load_image(sc.image_id, images_dir, sc.image_size)
-        psf = make_gaussian_psf(sc.psf_size, sc.psf_sigma)
         for name, cfg in algs:
-            runs = _map_trials(lambda t: _run_trial(truth, psf, sc, cfg, t), sc.trials)
+            runs = _run_trials(truth, psf, sc, cfg)
             psnrs = np.array([psnr(x, truth) for x, _ in runs])
             secs = np.array([sum(rec.seconds for rec in tr.records) for _, tr in runs])
             table.rows.append(TableRow(

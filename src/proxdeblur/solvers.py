@@ -33,7 +33,7 @@ import numpy as np
 from .linop import blur_apply, dct2, idct2
 from .wavelet import (LiftingWorkspace, check_dims, l1_norm_wavelet, prox_l1_wavelet,
                       wavelet_depth)
-from .weighting import apply_weighted_gradient_nstep, operator_plan
+from .weighting import MAX_ORDER, apply_weighted_gradient_nstep, operator_plan
 
 __all__ = [
     "DIVERGENCE_FACTOR",
@@ -62,6 +62,11 @@ class Variant(str, Enum):
     FISTA = "fista"
     IFISTA = "ifista"
     EFISTA = "efista"
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(v.value for v in cls)
+        raise ValueError(f"unknown variant '{value}' (valid: {valid})")
 
 
 @dataclass
@@ -99,6 +104,8 @@ class SolverConfig:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if self.n < 1:
             raise ValueError(f"order n must be >= 1, got {self.n}")
+        if self.n > MAX_ORDER:
+            raise ValueError(f"order n must be in [1, {MAX_ORDER}], got {self.n}")
         if self.p is not None and self.p < 1:
             raise ValueError(f"threshold scale p must be >= 1, got {self.p}")
         if self.max_iters < 0:

@@ -27,6 +27,7 @@ import numpy as np
 from .linop import BuildCache, gradient, operator_spectrum, psf_key
 
 __all__ = [
+    "MAX_ORDER",
     "MU_CLAMP",
     "binomial_filter_weights",
     "build_filter",
@@ -35,6 +36,9 @@ __all__ = [
     "OperatorPlan",
     "operator_plan",
 ]
+
+# The largest order n of W_n.
+MAX_ORDER = 32
 
 # Below this, mu is insignificant in double precision and phi takes its
 # continuous limit n.
@@ -49,8 +53,8 @@ def binomial_filter_weights(n):
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"order n must be an integer, got {n!r}")
-    if not 1 <= n <= 32:
-        raise ValueError(f"order n must be in [1, 32], got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order n must be in [1, {MAX_ORDER}], got {n}")
     return [math.comb(n, i) * (-1) ** (i - 1) for i in range(1, n + 1)]
 
 
@@ -159,8 +163,6 @@ class OperatorPlan:
     three are None and lambda_max_W is n.
     """
 
-    eta: float
-    n: int
     lambda_max_AtA: float
     lambda_max_W: float
     lam: np.ndarray | None = None
@@ -193,15 +195,15 @@ def operator_plan(psf, shape, eta, n):
         if lam_max > 0 and eta > (1 + 1e-9) / lam_max:
             raise ValueError(f"eta = {eta} exceeds 1/lambda_max(A^T A) = {1 / lam_max!r}")
         if spec.lam is None:
-            return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max, lambda_max_W=float(n))
+            return OperatorPlan(lambda_max_AtA=lam_max, lambda_max_W=float(n))
         lam = spec.lam
         if n == 1:
-            return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max, lambda_max_W=1.0,
+            return OperatorPlan(lambda_max_AtA=lam_max, lambda_max_W=1.0,
                                 lam=lam, phi=1.0, gain=lam)
         phi = build_filter(eta * lam * lam, n)
         gain = phi * lam
         phi.flags.writeable = gain.flags.writeable = False
-        return OperatorPlan(eta=eta, n=n, lambda_max_AtA=lam_max,
-                            lambda_max_W=float(phi.max()), lam=lam, phi=phi, gain=gain)
+        return OperatorPlan(lambda_max_AtA=lam_max, lambda_max_W=float(phi.max()),
+                            lam=lam, phi=phi, gain=gain)
 
     return _PLANS.get((psf_key(psf), h, w, float(eta), int(n)), build)

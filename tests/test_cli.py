@@ -197,7 +197,7 @@ def test_curves_unknown_variant_exits_one_naming_it(tmp_path):
                     n_values="8", out=str(tmp_path / "o"))
     res = run_cli("curves", "--config", cfg)
     assert res.returncode == 1, res.stdout + res.stderr
-    assert "'bogus'" in res.stderr
+    assert "unknown variant 'bogus' (valid: ista, fista, ifista, efista)" in res.stderr
     assert not (tmp_path / "o").exists()  # rejected before any run
 
 
@@ -246,11 +246,18 @@ def test_nonfinite_sigma_exits_one_naming_it(tmp_path, key, extra, value):
 
 @pytest.mark.parametrize("command,keys,message", [
     ("curves", dict(variants="fista, efista", n_values="0"), "order n must be >= 1, got 0"),
+    ("curves", dict(variants="fista, efista", n_values="40"),
+     "order n must be in [1, 32], got 40"),
     ("sweep", dict(n=8, probe_iter=3, p_values="1, 0.5"),
      "threshold scale p must be >= 1, got 0.5"),
+    ("sweep", dict(n=8, probe_iter=3, psf_size=4),
+     "psf size must be a positive odd integer, got 4"),
     ("table", dict(images="cameraman", noise_levels="0.01", K_values="3", n=0),
      "order n must be >= 1, got 0"),
-], ids=["curves", "sweep", "table"])
+    ("table", dict(images="cameraman", noise_levels="0.01", K_values="3", n=40),
+     "order n must be in [1, 32], got 40"),
+    ("deblur", dict(psf_size=4), "psf size must be a positive odd integer, got 4"),
+], ids=["curves", "curves-n40", "sweep", "sweep-psf4", "table", "table-n40", "deblur-psf4"])
 def test_every_setting_is_checked_before_the_first_trial(monkeypatch, capsys, tmp_path,
                                                          command, keys, message):
     from proxdeblur import cli, experiments
@@ -259,11 +266,52 @@ def test_every_setting_is_checked_before_the_first_trial(monkeypatch, capsys, tm
         raise AssertionError("image loaded before every setting was checked")
 
     monkeypatch.setattr(experiments, "load_image", no_image)
+    monkeypatch.setattr(cli, "load_image", no_image)
     cfg = write_cfg(tmp_path / "c.cfg", image="synthetic:lena", size=32, noise_sigma=0.01,
                     iterations=3, trials=1, out=str(tmp_path / "o"), **keys)
     assert cli.main([command, "--config", cfg]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["deblur", "curves", "sweep", "table"])
+def test_empty_out_exits_one_before_any_run(monkeypatch, capsys, tmp_path, command):
+    from proxdeblur import cli, experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started with an empty out")
+
+    monkeypatch.setattr(cli, "run_solver", no_run)
+    monkeypatch.setattr(experiments, "run_solver", no_run)
+    cfg = write_cfg(tmp_path / "c.cfg", size=32, iterations=3, trials=1, out="")
+    assert cli.main([command, "--config", cfg]) == 1
+    assert "c.cfg:4: bad value '' for 'out'" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path / "d.cfg", size=32, iterations=3, trials=1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--out", ""])
+    assert exc.value.code == 1
+    assert "argument --out: must not be empty" in capsys.readouterr().err
+
+
+def test_readme_config_grammar_lists_exactly_the_config_keys():
+    from proxdeblur import cli
+
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n### Config grammar\n", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = {key for cell in rows for key in cell.split("`")[1::2]}
+    assert documented == set(cli._KEYS)
+
+
+def test_empty_config_gives_the_scenario_defaults(tmp_path):
+    from proxdeblur import cli
+    from proxdeblur.experiments import Scenario
+
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    assert cli._scenario(cli.parse_config(str(empty)), "x") == Scenario(
+        "x", noise_sigma=0.01, K=50)
 
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scenarios")

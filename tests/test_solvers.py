@@ -58,8 +58,12 @@ def test_variant_coercion_and_validation():
     assert cfg.n == 1  # forced for unweighted variants
     assert cfg.p == 1.0  # forced for everything but efista
     assert SolverConfig(variant="fista", p=math.nan).p == 1.0  # reset before the finite check
-    with pytest.raises(ValueError):
-        SolverConfig(variant="nope")
+    assert SolverConfig(variant="fista", n=40).n == 1  # reset before the order check
+    with pytest.raises(ValueError, match=r"^unknown variant 'bogus' \(valid: ista, fista, "
+                                         r"ifista, efista\)$"):
+        SolverConfig(variant="bogus")
+    with pytest.raises(ValueError, match=r"^order n must be in \[1, 32\], got 33$"):
+        SolverConfig(variant="ifista", n=33)
     with pytest.raises(ValueError):
         SolverConfig(variant="efista", eta=0.0)
     with pytest.raises(ValueError):
