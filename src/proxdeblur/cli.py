@@ -52,6 +52,13 @@ def _nonempty(text):
     return text
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return seed
+
+
 def _list_of(parse):
     def parse_list(text):
         return tuple(parse(item.strip()) for item in text.split(",") if item.strip())
@@ -73,7 +80,7 @@ _KEYS = {
     "lambda": (_auto_float, None, "lam"),
     "iterations": (int, 50, "K"),
     "trials": (int, 10, "trials"),
-    "seed": (int, 0, "seed"),
+    "seed": (_seed, 0, "seed"),
     "out": (_nonempty, "out", None),
     "images": (_list_of(str), STANDARD_IMAGES, None),
     "images_dir": (str, None, None),
@@ -262,7 +269,7 @@ def main(argv=None):
         sp.add_argument("--config", required=True, help="path to a key = value config file")
         sp.add_argument("--out", type=_nonempty, default=None,
                         help="output directory (overrides config)")
-        sp.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
+        sp.add_argument("--seed", type=_seed, default=None, help="base seed (overrides config)")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     try:

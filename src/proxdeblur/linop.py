@@ -1,10 +1,13 @@
 """Blur operator with reflexive boundaries, its adjoint, and DCT spectral form.
 
 The measurement operator is a 2D correlation with a small normalized kernel,
-extended at the borders by half-sample symmetric (reflexive) mirroring.  For
+extended at the borders by half-sample symmetric (reflexive) mirroring.  A
+kernel takes one of three routes, chosen once per Psf from its taps.  For
 kernels that are flip-symmetric in both axes this operator is diagonalized by
 the orthonormal 2D DCT-II, A = C^T diag(lam) C, so every product with A or
-A^T becomes a pointwise product in the DCT domain.  operator_spectrum is the
+A^T becomes a pointwise product in the DCT domain.  Other kernels are applied
+in the spatial domain: a rank-one kernel (taps = outer(col, row)) as two 1-D
+passes, any other as one 2-D correlation.  operator_spectrum is the
 one path to the operator's spectral facts: it holds lam (from
 spectral_decompose) and lambda_max(A^T A), which for other kernels comes
 from one Lanczos solve on the matrix-free A^T A, computed once per
@@ -13,7 +16,7 @@ from one Lanczos solve on the matrix-free A^T A, computed once per
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -35,7 +38,8 @@ __all__ = [
 ]
 
 # Largest difference between a tap and its mirror image that still counts
-# as symmetric, so taps computed with round-off take the DCT path.
+# as symmetric, so taps computed with round-off take the DCT path; also the
+# largest difference between a tap and its rank-one factorization.
 _SYMMETRY_TOL = 1e-14
 
 
@@ -49,10 +53,17 @@ class Psf:
         Side length of the square kernel, odd.
     taps : ndarray
         (size, size) weights summing to 1.
+    factors : (ndarray, ndarray) or None
+        Read-only (col, row) with taps = outer(col, row) to within
+        _SYMMETRY_TOL per tap, set when the kernel is rank one and not
+        doubly symmetric, so blur_apply and blur_adjoint run two 1-D passes;
+        None otherwise.  Derived from taps.
     """
 
     size: int
     taps: np.ndarray
+    factors: tuple | None = field(init=False, repr=False, compare=False)
+    _symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=float)
@@ -66,13 +77,29 @@ class Psf:
         s = taps.sum()
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"psf taps must sum to 1 (got {s!r})")
+        symmetric = bool(np.abs(taps - taps[::-1, :]).max() <= _SYMMETRY_TOL
+                         and np.abs(taps - taps[:, ::-1]).max() <= _SYMMETRY_TOL)
+        object.__setattr__(self, "_symmetric", symmetric)
+        object.__setattr__(self, "factors", None if symmetric else _rank_one_factors(taps))
 
     def is_doubly_symmetric(self):
         """True when the kernel is flip-symmetric in both axes, to within
         _SYMMETRY_TOL per tap."""
-        t = self.taps
-        return (np.abs(t - t[::-1, :]).max() <= _SYMMETRY_TOL
-                and np.abs(t - t[:, ::-1]).max() <= _SYMMETRY_TOL)
+        return self._symmetric
+
+
+def _rank_one_factors(taps):
+    """(col, row) with outer(col, row) = taps to within _SYMMETRY_TOL per
+    tap, pivoted on the largest |tap|, both read-only; None when the kernel
+    is not rank one."""
+    i, j = np.unravel_index(np.abs(taps).argmax(), taps.shape)
+    col = taps[:, j].copy()
+    row = taps[i, :] / taps[i, j]
+    if np.abs(np.outer(col, row) - taps).max() > _SYMMETRY_TOL:
+        return None
+    col.flags.writeable = False
+    row.flags.writeable = False
+    return col, row
 
 
 def make_gaussian_psf(size, sigma):
@@ -104,9 +131,18 @@ def _check_operands(psf, x):
 
 
 def blur_apply(psf, x):
-    """Apply the blur operator A: correlation with reflexive boundary extension."""
+    """Apply the blur operator A: correlation with reflexive boundary extension.
+
+    A kernel with rank-one factors (psf.factors) is run as two 1-D
+    correlations, along the columns then along the rows; any other kernel as
+    one 2-D correlation.
+    """
     x = _check_operands(psf, x)
-    return ndimage.correlate(x, psf.taps, mode="reflect")
+    if psf.factors is None:
+        return ndimage.correlate(x, psf.taps, mode="reflect")
+    col, row = psf.factors
+    return ndimage.correlate1d(ndimage.correlate1d(x, col, axis=0, mode="reflect"),
+                               row, axis=1, mode="reflect")
 
 
 def _fold_rows(full, pad):
@@ -125,15 +161,24 @@ def blur_adjoint(psf, y):
     """Exact adjoint of blur_apply, boundary folding included.
 
     The forward blur is reflect-pad followed by a valid correlation, so the
-    adjoint is a full convolution followed by folding the padded margin back
-    onto its mirror sources.  For flip-symmetric kernels this coincides with
-    blur_apply.
+    adjoint is a full convolution of the zero-padded y followed by folding
+    the padded margin back onto its mirror sources.  With rank-one factors
+    the full convolution is two 1-D convolutions, the adjoints of
+    blur_apply's passes in reverse order.  For flip-symmetric kernels this
+    coincides with blur_apply.
     """
     y = _check_operands(psf, y)
     if psf.size == 1:
         return y * psf.taps[0, 0]
     pad = psf.size // 2
-    full = ndimage.convolve(np.pad(y, pad), psf.taps, mode="constant")
+    padded = np.zeros((y.shape[0] + 2 * pad, y.shape[1] + 2 * pad))
+    padded[pad:-pad, pad:-pad] = y
+    if psf.factors is None:
+        full = ndimage.convolve(padded, psf.taps, mode="constant")
+    else:
+        col, row = psf.factors
+        full = ndimage.convolve1d(ndimage.convolve1d(padded, row, axis=1, mode="constant"),
+                                  col, axis=0, mode="constant")
     return _fold_rows(_fold_rows(full.T, pad).T, pad)
 
 
@@ -142,7 +187,9 @@ def gradient(psf, x, b):
 
     For flip-symmetric kernels it is idct2(lam * (lam * dct2(x) - dct2(b)))
     with the cached DCT eigenvalues lam of A, the expression the solver's
-    DCT-domain step uses; otherwise two spatial passes.
+    DCT-domain step uses; otherwise blur_apply then blur_adjoint, each two
+    1-D passes when the kernel is rank one.  The symmetry is read from the
+    flag Psf computes once.
     """
     x = _check_operands(psf, x)
     b = np.asarray(b, dtype=float)

@@ -293,6 +293,29 @@ def test_empty_out_exits_one_before_any_run(monkeypatch, capsys, tmp_path, comma
     assert "argument --out: must not be empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["deblur", "curves", "sweep", "table"])
+def test_negative_seed_exits_one_before_any_run(monkeypatch, capsys, tmp_path, command):
+    from proxdeblur import cli, experiments
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("an image was loaded or a run started with a negative seed")
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "load_image", no_call)
+        monkeypatch.setattr(module, "run_solver", no_call)
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path / "c.cfg", size=32, iterations=3, trials=1, seed=-1, out=str(out))
+    assert cli.main([command, "--config", cfg]) == 1
+    assert "c.cfg:4: bad value '-1' for 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write_cfg(tmp_path / "d.cfg", size=32, iterations=3, trials=1, out=str(out))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--seed", "-1"])
+    assert exc.value.code == 1
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_config_grammar_lists_exactly_the_config_keys():
     from proxdeblur import cli
 

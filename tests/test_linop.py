@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import densify_blur, direct_blur
@@ -214,3 +214,72 @@ def test_lambda_max_is_one_for_normalized_symmetric_kernels(psf74):
     assert lambda_max_AtA(psf74, 64, 64) == pytest.approx(1.0, abs=1e-12)
     box = Psf(size=3, taps=np.full((3, 3), 1 / 9))
     assert lambda_max_AtA(box, 16, 16) == pytest.approx(1.0, abs=1e-9)
+
+
+def direct_blur_matrix(psf, height, width):
+    """Dense A built column by column from direct_blur, no library blur."""
+    columns = []
+    for j in range(height * width):
+        e = np.zeros(height * width)
+        e[j] = 1.0
+        columns.append(direct_blur(psf, e.reshape(height, width)).ravel())
+    return np.stack(columns, axis=1)
+
+
+def rank_one_psf(col, row):
+    taps = np.outer(col, row)
+    return Psf(size=len(col), taps=taps / taps.sum())
+
+
+@settings(max_examples=20, deadline=None)
+@example(size=3, extra_h=2, extra_w=4, seed=1)  # 5x7: odd and non-square
+@example(size=7, extra_h=1, extra_w=0, seed=2)  # 8x7: kernel as large as the image
+@given(
+    size=st.sampled_from([3, 5, 7]),
+    extra_h=st.integers(min_value=0, max_value=4),
+    extra_w=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_rank_one_kernel_runs_two_passes_matching_direct_summation(size, extra_h,
+                                                                   extra_w, seed):
+    # uniform draws are almost surely not palindromes, so the kernel has no
+    # flip symmetry and takes the separable path
+    r = np.random.default_rng(seed)
+    col, row = r.uniform(0.05, 1.0, (2, size))
+    psf = rank_one_psf(col, row)
+    assert not psf.is_doubly_symmetric() and psf.factors is not None
+    h, w = size + extra_h, size + extra_w
+    A = direct_blur_matrix(psf, h, w)
+    x = r.standard_normal((h, w))
+    y = r.standard_normal((h, w))
+    x0, y0 = x.copy(), y.copy()
+    assert np.abs(blur_apply(psf, x) - direct_blur(psf, x)).max() <= 1e-12
+    assert np.abs(blur_adjoint(psf, y).ravel() - A.T @ y.ravel()).max() <= 1e-12
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+def test_rank_one_factors_are_read_only_and_reproduce_the_taps():
+    psf = rank_one_psf([0.1, 0.5, 0.2], [0.3, 0.3, 0.9])
+    col, row = psf.factors
+    assert not col.flags.writeable and not row.flags.writeable
+    assert np.abs(np.outer(col, row) - psf.taps).max() <= 1e-15
+    assert not psf.is_doubly_symmetric()
+
+
+def test_factors_absent_off_the_separable_path(asymmetric_psf):
+    assert asymmetric_psf.factors is None
+    taps = np.outer([0.1, 0.5, 0.2], [0.3, 0.3, 0.9])
+    taps[0, 2] += 1e-9
+    assert Psf(size=3, taps=taps / taps.sum()).factors is None
+    for size in (1, 3, 5, 7):
+        for sigma in (0.5, 1.0, 4.0):
+            psf = make_gaussian_psf(size, sigma)
+            assert psf.is_doubly_symmetric() and psf.factors is None
+
+
+@pytest.mark.parametrize("height, width", [(16, 16), (8, 24)])
+def test_lambda_max_of_rank_one_kernel_matches_dense_eigenvalue(height, width):
+    psf = rank_one_psf([0.1, 0.5, 0.2], [0.3, 0.3, 0.9])
+    A = direct_blur_matrix(psf, height, width)
+    assert lambda_max_AtA(psf, width, height) == pytest.approx(
+        float(np.linalg.eigvalsh(A.T @ A).max()), rel=1e-10)

@@ -515,3 +515,24 @@ def test_concurrent_runs_match_serial_runs(rng, psf52):
     for (x, trace), (x_serial, trace_serial) in zip(results, serial):
         assert np.array_equal(x, x_serial)
         assert np.array_equal(trace.objectives(), trace_serial.objectives())
+
+
+@pytest.mark.parametrize("variant, n", [("ista", 1), ("efista", 8)])
+def test_separable_blur_moves_the_solver_only_at_round_off(variant, n):
+    # the nonsym_kernel benchmark's kernel: a 7x7 Gaussian, sigma 4, centred
+    # half a tap below the middle row, so it is rank one without flip symmetry
+    from proxdeblur.experiments import add_awgn, synthetic_image
+    from proxdeblur.linop import Psf
+
+    i = np.arange(7.0)
+    taps = np.exp(-((i[:, None] - 3.5) ** 2 + (i[None, :] - 3.0) ** 2) / 32)
+    separable = Psf(size=7, taps=taps / taps.sum())
+    assert separable.factors is not None
+    spatial = Psf(size=7, taps=separable.taps)
+    object.__setattr__(spatial, "factors", None)
+    b = add_awgn(blur_apply(spatial, synthetic_image("cameraman", 64)), 0.01, 3)
+    cfg = SolverConfig(variant=variant, eta=0.99, lam=1e-3, n=n, max_iters=20)
+    x_s, tr_s = run_solver(cfg, b, separable)
+    x_d, tr_d = run_solver(cfg, b, spatial)
+    assert np.abs(x_s - x_d).max() <= 1e-12
+    np.testing.assert_allclose(tr_s.objectives(), tr_d.objectives(), rtol=1e-12, atol=0)
