@@ -240,10 +240,10 @@ def cmd_table(cfg, quiet=False):
 
 
 _COMMANDS = {
-    "deblur": cmd_deblur,
-    "curves": cmd_curves,
-    "sweep": cmd_sweep,
-    "table": cmd_table,
+    "deblur": (cmd_deblur, "run one solver on one image and write the results"),
+    "curves": (cmd_curves, "objective/PSNR traces for several variants"),
+    "sweep": (cmd_sweep, "sweep the shrinkage scale p at fixed order n"),
+    "table": (cmd_table, "averaged PSNR table across images and noise levels"),
 }
 
 
@@ -259,12 +259,7 @@ def main(argv=None):
         prog="proxdeblur",
         description="Proximal-gradient deblurring benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("deblur", "run one solver on one image and write the results"),
-        ("curves", "objective/PSNR traces for several variants"),
-        ("sweep", "sweep the shrinkage scale p at fixed order n"),
-        ("table", "averaged PSNR table across images and noise levels"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a key = value config file")
         sp.add_argument("--out", type=_nonempty, default=None,
@@ -278,7 +273,8 @@ def main(argv=None):
             cfg["out"] = args.out
         if args.seed is not None:
             cfg["seed"] = args.seed
-        return _COMMANDS[args.command](cfg, quiet=args.quiet)
+        command, _ = _COMMANDS[args.command]
+        return command(cfg, quiet=args.quiet)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,8 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .linop import blur_apply, dct2, idct2
-from .wavelet import (LiftingWorkspace, check_dims, l1_norm_wavelet, prox_l1_wavelet,
-                      wavelet_depth)
+from .wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet, wavelet_depth
 from .weighting import MAX_ORDER, apply_weighted_gradient_nstep, operator_plan
 
 __all__ = [
@@ -91,6 +90,9 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
+        for name, value in (("n", self.n), ("max_iters", self.max_iters)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.variant in (Variant.ISTA, Variant.FISTA):
             self.n = 1
         if self.variant is not Variant.EFISTA:
@@ -114,25 +116,27 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Problem:
-    """What efista_step needs besides the iterates: kernel, data, the
-    operator plan, cb = dct2(b) when the step runs in the DCT domain,
-    which it does exactly when the plan has a DCT form, and the run's own
-    wavelet workspace (None: each prox call makes a fresh one)."""
+    """What efista_step needs besides the iterates: kernel, data, the run's
+    own wavelet workspace, the operator plan, and cb = dct2(b) when the
+    step runs in the DCT domain, which it does exactly when the plan has a
+    DCT form."""
 
     psf: object
     b: np.ndarray
+    workspace: LiftingWorkspace
     plan: object = None
     cb: np.ndarray | None = None
-    workspace: LiftingWorkspace | None = None
 
     @classmethod
     def build(cls, cfg, b, psf):
-        """Problem for a run of cfg on data b, with the cached operator plan
-        and a workspace of its own."""
+        """Problem for a run of cfg on data b: a workspace of its own at
+        cfg.wavelet_levels, which checks the depth before the cached
+        operator plan is looked up."""
         b = np.asarray(b, dtype=float)
+        workspace = LiftingWorkspace(b.shape, cfg.wavelet_levels)
         plan = operator_plan(psf, b.shape, cfg.eta, cfg.n)
         cb = dct2(b) if plan.lam is not None else None
-        return cls(psf=psf, b=b, plan=plan, cb=cb, workspace=LiftingWorkspace(b.shape))
+        return cls(psf=psf, b=b, workspace=workspace, plan=plan, cb=cb)
 
 
 @dataclass
@@ -258,8 +262,7 @@ def efista_step(state, cfg, problem):
         z = apply_weighted_gradient_nstep(problem.psf, y, problem.b, cfg.eta, cfg.n)
     gamma = cfg.p * cfg.lam * cfg.eta
     if gamma > 0:
-        x_new, state.l1 = prox_l1_wavelet(z, gamma, cfg.wavelet_levels, with_l1=True,
-                                          workspace=problem.workspace)
+        x_new, state.l1 = prox_l1_wavelet(z, gamma, problem.workspace)
     else:
         x_new = z
     cx_new = None if problem.cb is None else dct2(x_new)
@@ -301,19 +304,22 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     Raises
     ------
     ValueError
-        If b or x0 is not finite, their shapes differ, the shape admits no
-        wavelet level, or wavelet_levels does not divide it.
+        If b, x0 or truth is not finite, the shape of x0 or truth differs
+        from that of b, the shape admits no wavelet level, or
+        wavelet_levels does not divide it.
     """
     b = np.asarray(b, dtype=float)
     x0 = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    for name, arr in (("b", b), ("x0", x0)):
+    truth = None if truth is None else np.asarray(truth, dtype=float)
+    for name, arr in (("b", b), ("x0", x0), ("truth", truth)):
+        if arr is None:
+            continue
+        if arr.shape != b.shape:
+            raise ValueError(f"shape mismatch: {name} {arr.shape} vs b {b.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} has non-finite entries")
-    if x0.shape != b.shape:
-        raise ValueError(f"shape mismatch: x0 {x0.shape} vs b {b.shape}")
     if cfg.wavelet_levels is None:
         cfg = dataclasses.replace(cfg, wavelet_levels=wavelet_depth(b.shape))
-    check_dims(b, cfg.wavelet_levels)
     problem = Problem.build(cfg, b, psf)
     cfg = _resolve_p(cfg, problem.plan)
 

@@ -10,21 +10,20 @@ Coefficients use the in-place pyramid layout: after each level the low-pass
 half moves to the front, so the coarsest approximation band ends up in the
 top-left (h >> levels) x (w >> levels) block.
 
-The lifting runs in a LiftingWorkspace.  A solver calls the prox once per
-iteration, and a call that built its own dozens of image-sized temporaries
-paid more in fresh-page faults than in arithmetic; with a workspace the
-only new array per call is the returned image.  Each level lifts its rows
-in one buffer and its columns in another, each pass on two contiguous
-half-bands with a spare row between them for the extrapolated end sample,
-so a predict or update step is five whole-band numpy calls; the views of
-each level are built once per workspace.  The pyramid-layout coefficient
-array hands each level's approximation band on to the next.  A workspace
-is made once per solver run and never shared between runs or threads.
-prox_l1_wavelet takes it as an argument (a fresh one when none is given);
-analyze, synthesize and l1_norm_wavelet always run in a fresh one.
+The transform of one image shape at one depth is a LiftingWorkspace: it
+checks the shape and depth once, when it is built, and holds the buffers
+the lifting runs in.  A solver calls the prox once per iteration, and a
+call that built its own dozens of image-sized temporaries paid more in
+fresh-page faults than in arithmetic; with a workspace the only new array
+per call is the returned image.  Each level lifts its rows in one buffer
+and its columns in another, each pass on two contiguous half-bands with a
+spare row between them for the extrapolated end sample, so a predict or
+update step is five whole-band numpy calls; the views of each level are
+built once per workspace.  The pyramid-layout coefficient array hands each
+level's approximation band on to the next.  Each solver run makes one
+workspace and passes it to every prox_l1_wavelet call; l1_norm_wavelet
+builds a workspace of its own.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +34,11 @@ __all__ = [
     "DELTA",
     "ZETA",
     "MAX_LEVELS",
-    "WaveletCoeffs",
     "LiftingWorkspace",
-    "analyze",
-    "synthesize",
     "soft_threshold",
     "prox_l1_wavelet",
     "l1_norm_wavelet",
     "wavelet_depth",
-    "check_dims",
 ]
 
 ALPHA = -1.586134342059924
@@ -57,37 +52,6 @@ _ALPHA, _BETA, _GAMMA, _DELTA, _ZETA, _TWO = (
     np.broadcast_to(v, ()) for v in (ALPHA, BETA, GAMMA, DELTA, ZETA, 2.0))
 # The deepest decomposition wavelet_depth gives, that of a 256x256 image.
 MAX_LEVELS = 8
-
-
-@dataclass
-class WaveletCoeffs:
-    """Wavelet coefficients in the in-place pyramid layout."""
-
-    width: int
-    height: int
-    levels: int
-    values: np.ndarray
-
-    def approx_slice(self):
-        """Slices of the coarsest approximation band inside `values`."""
-        return slice(0, self.height >> self.levels), slice(0, self.width >> self.levels)
-
-
-def check_dims(x, levels):
-    """x as a float array, after checking that it is 2D and that both its
-    sides are divisible by 2^levels, levels an integer >= 1."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2D image, got shape {x.shape}")
-    if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool):
-        raise ValueError(f"levels must be an integer, got {levels!r}")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    h, w = x.shape
-    d = 1 << levels
-    if h % d or w % d:
-        raise ValueError(f"image dims {w}x{h} not divisible by 2^levels = {d}")
-    return x
 
 
 def wavelet_depth(shape):
@@ -196,7 +160,13 @@ class _Level:
 
 
 class LiftingWorkspace:
-    """Buffers the lifting of one image shape runs in, reused call after call.
+    """The CDF 9/7 transform of one image shape, `levels` deep, and the
+    buffers its lifting runs in, reused call after call.
+
+    Building it checks the shape and depth: a 2D shape whose sides are
+    both divisible by 2^levels, levels an integer >= 1.  The scaling makes
+    the transform near-orthonormal (coefficient energy within about 25% of
+    image energy on generic inputs).
 
     Each level lifts the rows of its block, then its columns, each pass
     along axis 0 of a buffer that holds the pass's two half-bands
@@ -210,17 +180,26 @@ class LiftingWorkspace:
     layout, one level's approximation band feeding the next: it is what
     `analyze` returns, and `detail_l1` sums it in row-major order, which
     fixes the rounding of the l1.  `_pairs` is the pair-sum scratch of
-    both passes.  The views of level l are built the first time a call
-    reaches that depth and kept; a call slices nothing inside the
-    workspace.
+    both passes.  The views of the levels are built by the first call and
+    kept; a call slices nothing inside the workspace.
 
     A workspace belongs to one solver run: the calls that use it overwrite
     all of its buffers, so it is never shared between runs or threads.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, levels):
+        if len(shape) != 2:
+            raise ValueError(f"expected a 2D image, got shape {tuple(shape)}")
+        if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool):
+            raise ValueError(f"levels must be an integer, got {levels!r}")
+        if levels < 1:
+            raise ValueError(f"levels must be >= 1, got {levels}")
         h, w = shape
+        d = 1 << levels
+        if h % d or w % d:
+            raise ValueError(f"image dims {w}x{h} not divisible by 2^levels = {d}")
         self.shape = (h, w)
+        self.levels = levels
         self.coeffs = np.empty((h, w))
         self._block = np.empty((w + 2) * h)
         self._vbuf = np.empty((h + 2) * w)
@@ -233,10 +212,14 @@ class LiftingWorkspace:
             self._levels.append(_Level(self, len(self._levels)))
         return self._levels[l]
 
-    def analyze(self, x, levels):
-        """Coefficients of x in self.coeffs (returned, not copied)."""
+    def analyze(self, x):
+        """Coefficients of x, an image of the workspace's shape, in
+        self.coeffs (returned, not copied)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.shape:
+            raise ValueError(f"workspace is for shape {self.shape}, image is {x.shape}")
         h, w = self.shape
-        for l in range(levels):
+        for l in range(self.levels):
             lv = self._level(l)
             lv.rows.bands[...] = _columns(x, h, w) if l == 0 else lv.coeff_cols
             lv.rows.forward()
@@ -245,14 +228,15 @@ class LiftingWorkspace:
             lv.coeff_halves[...] = lv.cols.bands
         return self.coeffs
 
-    def synthesize(self, levels):
-        """Image of the coefficients in self.coeffs, as a new array.
+    def synthesize(self):
+        """Image of the coefficients in self.coeffs, as a new array: the
+        exact inverse of analyze.
 
         self.coeffs is overwritten; the finest level writes the output.
         """
         h, w = self.shape
         out = np.empty((h, w))
-        for l in reversed(range(levels)):
+        for l in reversed(range(self.levels)):
             lv = self._level(l)
             lv.cols.bands[...] = lv.coeff_halves
             lv.cols.inverse()
@@ -261,42 +245,21 @@ class LiftingWorkspace:
             (_columns(out, h, w) if l == 0 else lv.coeff_cols)[...] = lv.rows.bands
         return out
 
-    def shrink_details(self, gamma, levels):
+    def shrink_details(self, gamma):
         """Soft-threshold the detail bands of self.coeffs by gamma in place.
 
         This is soft_threshold's formula, c - clip(c, -gamma, gamma), with
         the clip of the approximation band zeroed so that band is kept.
         """
         g = np.clip(self.coeffs, -gamma, gamma, out=self._shrink)
-        self._level(levels - 1).approx.fill(0.0)
+        self._level(self.levels - 1).approx.fill(0.0)
         self.coeffs -= g
 
-    def detail_l1(self, levels):
+    def detail_l1(self):
         """l1 of self.coeffs over the detail bands; self.coeffs is kept."""
         a = np.abs(self.coeffs, out=self._shrink)
-        self._level(levels - 1).approx.fill(0.0)
+        self._level(self.levels - 1).approx.fill(0.0)
         return float(a.sum())
-
-
-def analyze(x, levels):
-    """Separable 2D CDF 9/7 decomposition, `levels` deep.
-
-    Both image dims must be divisible by 2^levels.  The scaling makes the
-    transform near-orthonormal (coefficient energy within about 25% of image
-    energy on generic inputs).
-    """
-    x = check_dims(x, levels)
-    h, w = x.shape
-    return WaveletCoeffs(width=w, height=h, levels=levels,
-                         values=LiftingWorkspace(x.shape).analyze(x, levels))
-
-
-def synthesize(c):
-    """Exact inverse of analyze."""
-    values = check_dims(c.values, c.levels)
-    ws = LiftingWorkspace(values.shape)
-    np.copyto(ws.coeffs, values)
-    return ws.synthesize(c.levels)
 
 
 def soft_threshold(v, gamma):
@@ -312,32 +275,27 @@ def soft_threshold(v, gamma):
     return v - np.clip(v, -gamma, gamma)
 
 
-def prox_l1_wavelet(x, gamma, levels, with_l1=False, workspace=None):
-    """Shrink the wavelet coefficients of x by gamma and transform back.
+def prox_l1_wavelet(x, gamma, workspace):
+    """Shrink the wavelet coefficients of x by gamma and transform back, in
+    workspace, which fixes the shape and the depth.
 
     The coarsest approximation band is left untouched (thresholding it would
-    shift the mean intensity); all detail bands are shrunk.  With with_l1
-    the result is (image, l1), l1 being the detail-band l1 of the shrunk
-    coefficients, which is l1_norm_wavelet of the image up to rounding.
-    The returned image is the only new array; everything else runs in the
-    workspace (a fresh one when none is given).
+    shift the mean intensity); all detail bands are shrunk.  Returns
+    (image, l1), l1 being the detail-band l1 of the shrunk coefficients,
+    which is l1_norm_wavelet of the image up to rounding.  The returned
+    image is the only new array.
     """
     if gamma < 0:
         raise ValueError(f"threshold must be nonnegative, got {gamma}")
-    x = check_dims(x, levels)
-    ws = LiftingWorkspace(x.shape) if workspace is None else workspace
-    if ws.shape != x.shape:
-        raise ValueError(f"workspace is for shape {ws.shape}, image is {x.shape}")
-    ws.analyze(x, levels)
-    ws.shrink_details(gamma, levels)
-    l1 = ws.detail_l1(levels) if with_l1 else None
-    out = ws.synthesize(levels)
-    return (out, l1) if with_l1 else out
+    workspace.analyze(x)
+    workspace.shrink_details(gamma)
+    l1 = workspace.detail_l1()
+    return workspace.synthesize(), l1
 
 
 def l1_norm_wavelet(x, levels):
     """Sum of |coefficient| over the detail bands (approximation excluded)."""
-    x = check_dims(x, levels)
-    ws = LiftingWorkspace(x.shape)
-    ws.analyze(x, levels)
-    return ws.detail_l1(levels)
+    x = np.asarray(x, dtype=float)
+    ws = LiftingWorkspace(x.shape, levels)
+    ws.analyze(x)
+    return ws.detail_l1()

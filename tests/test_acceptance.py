@@ -52,7 +52,7 @@ from proxdeblur.solvers import (
     objective,
     run_solver,
 )
-from proxdeblur.wavelet import analyze, synthesize
+from proxdeblur.wavelet import LiftingWorkspace
 from proxdeblur.weighting import build_filter, operator_plan
 
 
@@ -378,7 +378,8 @@ def test_7_rate_bound():
     assert len(trace) == 200 and not trace.diverged
 
     plan = operator_plan(psf, (size, size), 1.0, 8)
-    rep = rate_check(trace, b, x_star, plan, Problem(psf=psf, b=b), cfg)
+    problem = Problem(psf=psf, b=b, workspace=LiftingWorkspace(b.shape, levels))
+    rep = rate_check(trace, b, x_star, plan, problem, cfg)
 
     report(7, rep.passed,
            f"F(x_k) - F* <= {rep.constant:g} * ||x0 - x*||^2_Winv / (k+1)^2 "
@@ -399,7 +400,9 @@ def test_8_transform_suite():
     worst_pr = 0.0
     for h, w, levels in ((256, 256, 8), (64, 64, 6), (64, 32, 3), (16, 16, 2)):
         x = rng.standard_normal((h, w))
-        worst_pr = max(worst_pr, float(np.abs(synthesize(analyze(x, levels)) - x).max()))
+        ws = LiftingWorkspace((h, w), levels)
+        ws.analyze(x)
+        worst_pr = max(worst_pr, float(np.abs(ws.synthesize() - x).max()))
 
     # DCT round trip
     worst_dct = 0.0
@@ -434,7 +437,7 @@ def test_8_transform_suite():
                        p=plan.lambda_max_W, wavelet_levels=levels)
     truth = rng.random((h, w))
     b = blur_apply(psf, truth) + 0.01 * rng.standard_normal((h, w))
-    problem = Problem(psf=psf, b=b)
+    problem = Problem(psf=psf, b=b, workspace=LiftingWorkspace(b.shape, levels))
     min_margin = math.inf
     pairs = 1000
     for _ in range(pairs):

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from proxdeblur.linop import Psf, blur_apply, gradient, operator_spectrum
+from proxdeblur.linop import Psf, blur_apply, dct2, gradient, operator_spectrum
 from proxdeblur.solvers import Problem, SolverConfig, SolverState, efista_step
-from proxdeblur.wavelet import l1_norm_wavelet, prox_l1_wavelet
-from proxdeblur.weighting import apply_weighted_gradient_nstep
+from proxdeblur.wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet
+from proxdeblur.weighting import apply_weighted_gradient_nstep, operator_plan
 
 
 def symmetric_psf(size, seed):
@@ -25,12 +25,19 @@ def close(got, want, tol):
 
 def one_step(psf, b, y, n, lam, levels):
     """One efista step from y: the state it leaves (its x is z when lam = 0)
-    and the config it ran with."""
+    and the config it ran with.  levels = None builds the problem without
+    a wavelet workspace, which Problem.build would check against the
+    shape: a step at lam = 0 never reaches the prox, so shapes that admit
+    no wavelet level can test the DCT step."""
     eta = 0.9 / operator_spectrum(psf, b.shape).lambda_max_AtA
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=n, p=1.5,
                        wavelet_levels=levels)
-    problem = Problem.build(cfg, b, psf)
-    assert problem.cb is not None
+    if levels is None:
+        problem = Problem(psf=psf, b=b, workspace=None,
+                          plan=operator_plan(psf, b.shape, eta, n), cb=dct2(b))
+    else:
+        problem = Problem.build(cfg, b, psf)
+    assert problem.plan.lam is not None
     state = efista_step(SolverState.start(y, problem), cfg, problem)
     return state, cfg
 
@@ -53,7 +60,7 @@ def test_dct_gradient_and_weighted_step_match_spatial(size, h, w, n, seed):
     assert close(gradient(psf, x, b), spatial, 1e-10)
 
     # lam = 0 skips the prox, so the step returns z = y - eta W_n grad f(y)
-    state, cfg = one_step(psf, b, x, n, 0.0, 1)
+    state, cfg = one_step(psf, b, x, n, 0.0, None)
     z = x.copy()
     for _ in range(n):
         z -= cfg.eta * blur_apply(psf, blur_apply(psf, z) - b)
@@ -73,7 +80,7 @@ def test_dct_step_matches_nstep_route_and_reports_its_l1(size, levels, hk, wk, n
     lam = 0.05
     state, cfg = one_step(psf, b, x, n, lam, levels)
     z = apply_weighted_gradient_nstep(psf, x, b, cfg.eta, n)
-    want = prox_l1_wavelet(z, cfg.p * lam * cfg.eta, levels)
+    want, _ = prox_l1_wavelet(z, cfg.p * lam * cfg.eta, LiftingWorkspace(z.shape, levels))
     assert close(state.x, want, 1e-10)
     l1 = l1_norm_wavelet(state.x, levels)
     assert abs(state.l1 - l1) <= 1e-12 * l1

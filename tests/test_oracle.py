@@ -18,7 +18,7 @@ from proxdeblur.solvers import (
     SolverState,
     efista_step,
 )
-from proxdeblur.wavelet import analyze, synthesize, WaveletCoeffs, soft_threshold
+from proxdeblur.wavelet import LiftingWorkspace, soft_threshold
 from proxdeblur.weighting import apply_weighted_gradient_nstep
 
 
@@ -85,10 +85,12 @@ def test_dense_Wn_order_cap(psf31):
 def test_dense_wavelet_matrices_match_fast_path(rng):
     ana, syn = densify_wavelet(8, 8, 2)
     x = rng.standard_normal((8, 8))
-    fast = analyze(x, 2).values.ravel()
+    ws = LiftingWorkspace((8, 8), 2)
+    fast = ws.analyze(x).ravel()
     assert np.abs(ana.entries @ x.ravel() - fast).max() < 1e-9
     c = rng.standard_normal((8, 8))
-    fast_inv = synthesize(WaveletCoeffs(8, 8, 2, c)).ravel()
+    np.copyto(ws.coeffs, c)
+    fast_inv = ws.synthesize().ravel()
     assert np.abs(syn.entries @ c.ravel() - fast_inv).max() < 1e-9
     # synthesis inverts analysis
     assert np.abs(syn.entries @ ana.entries - np.eye(64)).max() < 1e-9

@@ -17,7 +17,7 @@ from proxdeblur.solvers import (
     run_solver,
     runs_diverged,
 )
-from proxdeblur.wavelet import prox_l1_wavelet, wavelet_depth
+from proxdeblur.wavelet import LiftingWorkspace, prox_l1_wavelet, wavelet_depth
 from proxdeblur.weighting import operator_plan
 
 
@@ -104,9 +104,10 @@ def test_run_solver_matches_hand_rolled_ista(tiny_problem):
     psf, b = tiny_problem
     eta, lam, levels = 1.0, 1e-3, 2
     x = b.copy()
+    ws = LiftingWorkspace(b.shape, levels)
     for _ in range(6):
         z = x - eta * gradient(psf, x, b)
-        x = prox_l1_wavelet(z, lam * eta, levels)
+        x, _ = prox_l1_wavelet(z, lam * eta, ws)
     got, _ = run_solver(
         SolverConfig(variant="ista", eta=eta, lam=lam, max_iters=6,
                      wavelet_levels=levels),
@@ -226,6 +227,49 @@ def test_wavelet_levels_the_shape_does_not_divide_are_rejected_before_the_plan(
                    np.zeros((48, 48)), psf74)
 
 
+@pytest.mark.parametrize("truth,match", [
+    (np.zeros((16, 16)), "shape mismatch: truth \\(16, 16\\) vs b \\(32, 32\\)"),
+    (np.full((32, 32), np.nan), "truth has non-finite entries"),
+])
+def test_bad_truth_is_rejected_before_any_step(monkeypatch, psf74, truth, match):
+    from proxdeblur import solvers
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a solver step ran for a truth that cannot be compared")
+
+    monkeypatch.setattr(solvers, "efista_step", no_step)
+    with pytest.raises(ValueError, match=match):
+        run_solver(SolverConfig(variant="efista", lam=1e-3, n=8, max_iters=5),
+                   np.zeros((32, 32)), psf74, truth=truth)
+
+
+@pytest.mark.parametrize("kernel", ["psf74", "asymmetric_psf"])
+@pytest.mark.parametrize("field,value", [
+    ("n", 2.5), ("n", True), ("max_iters", 2.5), ("max_iters", False), ("max_iters", "5"),
+])
+def test_non_integer_order_or_iterations_is_rejected_naming_the_field(
+        monkeypatch, request, kernel, field, value):
+    from proxdeblur import solvers
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("operator plan built for a config that is not valid")
+
+    monkeypatch.setattr(solvers, "operator_plan", no_plan)
+    psf = request.getfixturevalue(kernel)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        run_solver(SolverConfig(**{"variant": "efista", "eta": 0.9, "lam": 1e-3, "n": 2,
+                                   "max_iters": 3, field: value}),
+                   np.zeros((16, 16)), psf)
+
+
+def test_numpy_integer_order_and_iterations_are_accepted(tiny_problem):
+    psf, b = tiny_problem
+    kw = dict(variant="efista", lam=1e-3, wavelet_levels=2)
+    x_np, _ = run_solver(SolverConfig(n=np.int64(4), max_iters=np.int32(3), **kw), b, psf)
+    x_py, _ = run_solver(SolverConfig(n=4, max_iters=3, **kw), b, psf)
+    assert np.array_equal(x_np, x_py)
+
+
 def test_step_size_just_above_the_bound_is_rejected_without_flip_symmetry(rng, asymmetric_psf):
     # 1/eta is 1.4e-7 relative below lambda_max(A^T A) = 1.03339596 here,
     # beyond the 1 + 1e-9 slack of the step-size check
@@ -289,7 +333,7 @@ def nstep_route(cfg, b, psf):
     """run_solver's loop on the matrix-free n-step route: a Problem built
     without cb, from x0 = b, for a config with p resolved.  Returns the final
     iterate and the objectives as run_solver computes them on that route."""
-    problem = Problem(psf=psf, b=b)
+    problem = Problem(psf=psf, b=b, workspace=LiftingWorkspace(b.shape, cfg.wavelet_levels))
     state = SolverState.start(b.copy(), problem)
     objectives = []
     for _ in range(cfg.max_iters):
@@ -340,7 +384,7 @@ def test_surrogate_majorizes_objective(rng, psf31):
     eta, lam, n, levels = 0.9, 1e-2, 4, 2
     plan = operator_plan(psf31, (16, 16), eta, n)
     b = rng.standard_normal((16, 16))
-    problem = Problem(psf=psf31, b=b)
+    problem = Problem(psf=psf31, b=b, workspace=LiftingWorkspace(b.shape, levels))
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=n,
                        p=plan.lambda_max_W, wavelet_levels=levels)
     for _ in range(50):
@@ -356,7 +400,7 @@ def test_surrogate_touches_objective_at_anchor(rng, psf31):
     eta, lam, levels = 1.0, 1e-2, 2
     plan = operator_plan(psf31, (16, 16), eta, 1)
     b = rng.standard_normal((16, 16))
-    problem = Problem(psf=psf31, b=b)
+    problem = Problem(psf=psf31, b=b, workspace=LiftingWorkspace(b.shape, levels))
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=1, p=1.0,
                        wavelet_levels=levels)
     x = rng.standard_normal((16, 16))
@@ -369,7 +413,7 @@ def test_surrogate_classic_form_at_order_one(rng, psf31):
     eta, lam, levels = 0.8, 1e-2, 2
     plan = operator_plan(psf31, (16, 16), eta, 1)
     b = rng.standard_normal((16, 16))
-    problem = Problem(psf=psf31, b=b)
+    problem = Problem(psf=psf31, b=b, workspace=LiftingWorkspace(b.shape, levels))
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=1, p=1.0,
                        wavelet_levels=levels)
     x = rng.standard_normal((16, 16))
@@ -390,7 +434,7 @@ def test_rate_check_flags_and_passes(rng, psf31):
     eta = 1.0
     plan = operator_plan(psf31, (8, 8), eta, 2)
     b = rng.standard_normal((8, 8))
-    problem = Problem(psf=psf31, b=b)
+    problem = Problem(psf=psf31, b=b, workspace=LiftingWorkspace(b.shape, 2))
     cfg = SolverConfig(variant="efista", eta=eta, lam=0.0, n=2, p=1.0,
                        wavelet_levels=2)
     x0 = rng.standard_normal((8, 8))

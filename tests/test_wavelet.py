@@ -13,13 +13,35 @@ from oracle import (
 )
 from proxdeblur.wavelet import (
     LiftingWorkspace,
-    WaveletCoeffs,
-    analyze,
     l1_norm_wavelet,
     prox_l1_wavelet,
     soft_threshold,
-    synthesize,
 )
+
+
+def analyze(x, levels):
+    """Coefficients of x from a fresh workspace, in an array of their own."""
+    return LiftingWorkspace(np.shape(x), levels).analyze(x).copy()
+
+
+def synthesize(c, levels):
+    """Image of the coefficients c from a fresh workspace; c is kept."""
+    return workspace_synthesize(LiftingWorkspace(c.shape, levels), c)
+
+
+def workspace_synthesize(ws, c):
+    np.copyto(ws.coeffs, c)
+    return ws.synthesize()
+
+
+def prox(x, gamma, levels):
+    """The prox's image from a fresh workspace."""
+    return prox_l1_wavelet(x, gamma, LiftingWorkspace(np.shape(x), levels))[0]
+
+
+def approx_band(shape, levels):
+    """Slices of the coarsest approximation band in the pyramid layout."""
+    return slice(0, shape[0] >> levels), slice(0, shape[1] >> levels)
 
 
 @pytest.mark.parametrize("shape,levels", [
@@ -28,15 +50,14 @@ from proxdeblur.wavelet import (
 ])
 def test_perfect_reconstruction(rng, shape, levels):
     x = rng.standard_normal(shape)
-    back = synthesize(analyze(x, levels))
+    back = synthesize(analyze(x, levels), levels)
     assert np.abs(back - x).max() < 1e-9 * max(1.0, np.abs(x).max())
 
 
 def test_reconstruction_in_coefficient_direction(rng):
     # analyze(synthesize(c)) must also come back exactly
     c = rng.standard_normal((16, 16))
-    coeffs = WaveletCoeffs(width=16, height=16, levels=2, values=c)
-    again = analyze(synthesize(coeffs), 2).values
+    again = analyze(synthesize(c, 2), 2)
     assert np.abs(again - c).max() < 1e-9
 
 
@@ -53,11 +74,11 @@ def test_matches_scalar_reference(rng):
     # element in the same order, so the results are equal, not just close
     for shape, levels in [((8, 8), 2), ((16, 16), 3), ((8, 16), 2)]:
         x = rng.standard_normal(shape)
-        fast = analyze(x, levels).values
+        fast = analyze(x, levels)
         slow = _scalar_analyze(x, levels)
         assert np.array_equal(fast, slow)
         c = rng.standard_normal(shape)
-        fast_inv = synthesize(WaveletCoeffs(shape[1], shape[0], levels, c))
+        fast_inv = synthesize(c, levels)
         slow_inv = _scalar_synthesize(c, levels)
         assert np.array_equal(fast_inv, slow_inv)
 
@@ -74,11 +95,6 @@ def scalar_prox(x, gamma, levels):
     return _scalar_synthesize(shrunk, levels), l1
 
 
-def workspace_synthesize(ws, c, levels):
-    np.copyto(ws.coeffs, c)
-    return ws.synthesize(levels)
-
-
 @settings(max_examples=40, deadline=None)
 @given(levels=st.integers(1, 4), rows=st.integers(1, 4), cols=st.integers(1, 4),
        gamma=st.sampled_from([0.0, 1e-3, 0.5, 10.0]), seed=st.integers(0, 2**32 - 1))
@@ -88,16 +104,16 @@ def test_workspace_lifting_equals_scalar_pipeline(levels, rows, cols, gamma, see
     shape = (rows << levels, cols << levels)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
-    ws = LiftingWorkspace(shape)
+    ws = LiftingWorkspace(shape, levels)
     coeffs = _scalar_analyze(x, levels)
-    assert np.array_equal(ws.analyze(x, levels), coeffs)
+    assert np.array_equal(ws.analyze(x), coeffs)
     detail = coeffs.copy()
     detail[:shape[0] >> levels, :shape[1] >> levels] = 0.0
-    assert ws.detail_l1(levels) == float(np.abs(detail).sum())
+    assert ws.detail_l1() == float(np.abs(detail).sum())
     assert l1_norm_wavelet(x, levels) == float(np.abs(detail).sum())
     c = rng.standard_normal(shape)
-    assert np.array_equal(workspace_synthesize(ws, c, levels), _scalar_synthesize(c, levels))
-    image, l1 = prox_l1_wavelet(x, gamma, levels, with_l1=True, workspace=ws)
+    assert np.array_equal(workspace_synthesize(ws, c), _scalar_synthesize(c, levels))
+    image, l1 = prox_l1_wavelet(x, gamma, ws)
     want_image, want_l1 = scalar_prox(x, gamma, levels)
     assert np.array_equal(image, want_image)
     assert l1 == want_l1
@@ -105,22 +121,23 @@ def test_workspace_lifting_equals_scalar_pipeline(levels, rows, cols, gamma, see
 
 def test_reused_workspace_matches_fresh_calls(rng):
     # every call must overwrite what it reads: no result may depend on what
-    # an earlier call left in the buffers
+    # an earlier call left in the buffers; one workspace per depth, each
+    # reused over several inputs and gammas
     shape = (32, 16)
-    ws = LiftingWorkspace(shape)
-    kept = analyze(rng.standard_normal(shape), 3)
-    first = kept.values.copy()
-    for levels, gamma in [(3, 0.2), (1, 0.0), (4, 1e-3), (2, 5.0), (3, 0.2)]:
-        x = rng.standard_normal(shape) * 10
-        c = rng.standard_normal(shape)
-        assert np.array_equal(ws.analyze(x, levels), analyze(x, levels).values)
-        assert ws.detail_l1(levels) == l1_norm_wavelet(x, levels)
-        assert np.array_equal(workspace_synthesize(ws, c, levels),
-                              synthesize(WaveletCoeffs(shape[1], shape[0], levels, c)))
-        got = prox_l1_wavelet(x, gamma, levels, with_l1=True, workspace=ws)
-        want = prox_l1_wavelet(x, gamma, levels, with_l1=True)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-    assert np.array_equal(kept.values, first)  # analyze returned coefficients it owns
+    kept = LiftingWorkspace(shape, 3).analyze(rng.standard_normal(shape))
+    first = kept.copy()
+    for levels in (3, 1, 4, 2):
+        ws = LiftingWorkspace(shape, levels)
+        for gamma in (0.2, 0.0, 1e-3, 5.0, 0.2):
+            x = rng.standard_normal(shape) * 10
+            c = rng.standard_normal(shape)
+            assert np.array_equal(ws.analyze(x), analyze(x, levels))
+            assert ws.detail_l1() == l1_norm_wavelet(x, levels)
+            assert np.array_equal(workspace_synthesize(ws, c), synthesize(c, levels))
+            got = prox_l1_wavelet(x, gamma, ws)
+            want = prox_l1_wavelet(x, gamma, LiftingWorkspace(shape, levels))
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(kept, first)  # workspaces share no buffers
 
 
 def test_prox_allocates_only_its_result_in_a_warm_workspace(rng):
@@ -133,20 +150,20 @@ def test_prox_allocates_only_its_result_in_a_warm_workspace(rng):
     x = rng.standard_normal(shape)
     tracemalloc.start()
     try:
-        ws = LiftingWorkspace(shape)
+        ws = LiftingWorkspace(shape, 8)
         assert tracemalloc.get_traced_memory()[1] <= 3.5 * image + 2 * (h + w) * 8 + 4096
-        prox_l1_wavelet(x, 0.1, 8, with_l1=True, workspace=ws)
+        prox_l1_wavelet(x, 0.1, ws)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ws.analyze(x, 8)
-        ws.shrink_details(0.1, 8)
-        ws.detail_l1(8)
+        ws.analyze(x)
+        ws.shrink_details(0.1)
+        ws.detail_l1()
         # a temporary freed before the output exists would not raise the
         # peak of the whole call, so the steps before synthesis are held
         # to no allocation at all
         steps_peak = tracemalloc.get_traced_memory()[1] - before
         tracemalloc.reset_peak()
-        out, _ = prox_l1_wavelet(x, 0.1, 8, with_l1=True, workspace=ws)
+        out, _ = prox_l1_wavelet(x, 0.1, ws)
         call_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -157,32 +174,35 @@ def test_prox_allocates_only_its_result_in_a_warm_workspace(rng):
 
 def test_workspace_shape_must_match_image():
     with pytest.raises(ValueError, match="workspace"):
-        prox_l1_wavelet(np.ones((16, 16)), 0.1, 2, workspace=LiftingWorkspace((16, 32)))
+        prox_l1_wavelet(np.ones((16, 16)), 0.1, LiftingWorkspace((16, 32), 2))
 
 
 def test_energy_roughly_preserved(rng):
     # biorthogonal, not orthonormal: Riesz slack of roughly a quarter
     for _ in range(5):
         x = rng.standard_normal((32, 32))
-        ratio = np.linalg.norm(analyze(x, 3).values) ** 2 / np.linalg.norm(x) ** 2
+        ratio = np.linalg.norm(analyze(x, 3)) ** 2 / np.linalg.norm(x) ** 2
         assert 0.8 < ratio < 1.3
 
 
 def test_approx_slice_layout():
+    # a constant image has no detail: all of its energy sits in the
+    # coarsest approximation band, the top-left (32 >> 3) x (32 >> 3) block
     c = analyze(np.ones((32, 32)), 3)
-    rs, cs = c.approx_slice()
-    assert (rs.stop, cs.stop) == (4, 4)
+    assert np.all(c[:4, :4] > 0)
+    assert np.abs(c[4:, :]).max() < 1e-12 and np.abs(c[:, 4:]).max() < 1e-12
 
 
 def test_dimension_validation():
-    with pytest.raises(ValueError):
-        analyze(np.ones((12, 12)), 3)  # 12 not divisible by 8
-    with pytest.raises(ValueError):
-        analyze(np.ones((16, 16)), 0)
-    with pytest.raises(ValueError):
-        analyze(np.ones((16, 16)), True)
-    with pytest.raises(ValueError):
-        analyze(np.ones(16), 1)
+    # the workspace checks the shape and depth once, when it is built
+    with pytest.raises(ValueError, match="image dims 12x12 not divisible by 2\\^levels = 8"):
+        LiftingWorkspace((12, 12), 3)
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        LiftingWorkspace((16, 16), 0)
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        LiftingWorkspace((16, 16), True)
+    with pytest.raises(ValueError, match="expected a 2D image"):
+        LiftingWorkspace((16,), 1)
 
 
 def test_soft_threshold_scalar_cases():
@@ -209,16 +229,16 @@ def test_soft_threshold_minimizes_scalar_objective(v, g):
 
 def test_prox_preserves_approximation_band(rng):
     x = rng.standard_normal((16, 16)) + 5.0
-    out = prox_l1_wavelet(x, 0.5, 2)
+    out = prox(x, 0.5, 2)
     ca = analyze(x, 2)
     cb = analyze(out, 2)
-    rs, cs = ca.approx_slice()
-    assert np.abs(ca.values[rs, cs] - cb.values[rs, cs]).max() < 1e-9
+    band = approx_band(x.shape, 2)
+    assert np.abs(ca[band] - cb[band]).max() < 1e-9
 
 
 def test_prox_gamma_zero_is_identity(rng):
     x = rng.standard_normal((16, 16))
-    assert np.abs(prox_l1_wavelet(x, 0.0, 2) - x).max() < 1e-9
+    assert np.abs(prox(x, 0.0, 2) - x).max() < 1e-9
 
 
 def test_prox_against_exact_lasso_optimum(rng):
@@ -237,7 +257,7 @@ def test_prox_against_exact_lasso_optimum(rng):
         z = rng.standard_normal((h, w))
         c_star = lasso_coordinate_descent(syn.entries, z.ravel(), gvec)
         x_star = (syn.entries @ c_star).reshape(h, w)
-        x_prox = prox_l1_wavelet(z, gamma, levels)
+        x_prox = prox(z, gamma, levels)
 
         def obj(x):
             return (0.5 * ((x - z) ** 2).sum()
@@ -254,18 +274,18 @@ def test_shrinkage_is_exact_in_coefficient_domain(rng):
     z = rng.standard_normal((16, 16))
     gamma, levels = 0.4, 2
     c_in = analyze(z, levels)
-    c_out = analyze(prox_l1_wavelet(z, gamma, levels), levels)
-    want = soft_threshold(c_in.values, gamma)
-    rs, cs = c_in.approx_slice()
-    want[rs, cs] = c_in.values[rs, cs]
-    assert np.abs(c_out.values - want).max() < 1e-9
+    c_out = analyze(prox(z, gamma, levels), levels)
+    want = soft_threshold(c_in, gamma)
+    band = approx_band(z.shape, levels)
+    want[band] = c_in[band]
+    assert np.abs(c_out - want).max() < 1e-9
 
 
 def test_prox_nearly_nonexpansive(rng):
     for _ in range(50):
         x = rng.standard_normal((32, 32))
         y = rng.standard_normal((32, 32))
-        dx = np.linalg.norm(prox_l1_wavelet(x, 0.2, 3) - prox_l1_wavelet(y, 0.2, 3))
+        dx = np.linalg.norm(prox(x, 0.2, 3) - prox(y, 0.2, 3))
         assert dx <= 1.1 * np.linalg.norm(x - y)
 
 
@@ -275,7 +295,7 @@ def test_l1_norm_of_single_detail_coefficient(rng):
     for flat in (5, 37, 200, 255):
         c = np.zeros((16, 16))
         c[flat // 16, flat % 16] = 1.0
-        x = synthesize(WaveletCoeffs(16, 16, 2, c))
+        x = synthesize(c, 2)
         assert l1_norm_wavelet(x, 2) == pytest.approx(1.0, abs=1e-9)
 
 
