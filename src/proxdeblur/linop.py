@@ -35,12 +35,20 @@ __all__ = [
     "BuildCache",
     "OperatorSpectrum",
     "operator_spectrum",
+    "require_int",
 ]
 
 # Largest difference between a tap and its mirror image that still counts
 # as symmetric, so taps computed with round-off take the DCT path; also the
 # largest difference between a tap and its rank-one factorization.
 _SYMMETRY_TOL = 1e-14
+
+
+def require_int(name, value):
+    """Raise ValueError naming `name` unless value is an int or np.integer
+    (a bool is not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

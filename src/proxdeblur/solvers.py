@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linop import blur_apply, dct2, idct2
+from .linop import blur_apply, dct2, idct2, require_int
 from .wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet, wavelet_depth
 from .weighting import MAX_ORDER, apply_weighted_gradient_nstep, operator_plan
 
@@ -90,9 +90,8 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
-        for name, value in (("n", self.n), ("max_iters", self.max_iters)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_int("n", self.n)
+        require_int("max_iters", self.max_iters)
         if self.variant in (Variant.ISTA, Variant.FISTA):
             self.n = 1
         if self.variant is not Variant.EFISTA:
@@ -328,7 +327,11 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         return x0, trace
 
     state = SolverState.start(x0, problem)
-    f0 = objective(x0, b, psf, cfg.lam, cfg.wavelet_levels)
+    # objective(x0, ...), with the l1 taken in the run's workspace
+    f0 = _half_sq(blur_apply(psf, x0) - b)
+    if cfg.lam != 0:
+        problem.workspace.analyze(x0)
+        f0 += cfg.lam * problem.workspace.detail_l1()
     for _ in range(cfg.max_iters):
         x_prev = state.x  # the step rebinds state.x, never writes into it
         t0 = time.perf_counter()

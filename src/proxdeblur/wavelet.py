@@ -27,6 +27,8 @@ builds a workspace of its own.
 
 import numpy as np
 
+from .linop import require_int
+
 __all__ = [
     "ALPHA",
     "BETA",
@@ -190,8 +192,7 @@ class LiftingWorkspace:
     def __init__(self, shape, levels):
         if len(shape) != 2:
             raise ValueError(f"expected a 2D image, got shape {tuple(shape)}")
-        if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool):
-            raise ValueError(f"levels must be an integer, got {levels!r}")
+        require_int("levels", levels)
         if levels < 1:
             raise ValueError(f"levels must be >= 1, got {levels}")
         h, w = shape

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linop import BuildCache, gradient, operator_spectrum, psf_key
+from .linop import BuildCache, gradient, operator_spectrum, psf_key, require_int
 
 __all__ = [
     "MAX_ORDER",
@@ -51,8 +51,7 @@ def binomial_filter_weights(n):
     W_n = sum_i c[i] (eta A^T A)^(i-1); the list is 1-indexed conceptually,
     c[0] here corresponds to the identity term.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"order n must be an integer, got {n!r}")
+    require_int("order n", n)
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order n must be in [1, {MAX_ORDER}], got {n}")
     return [math.comb(n, i) * (-1) ** (i - 1) for i in range(1, n + 1)]

@@ -25,10 +25,9 @@ def close(got, want, tol):
 
 def one_step(psf, b, y, n, lam, levels):
     """One efista step from y: the state it leaves (its x is z when lam = 0)
-    and the config it ran with.  levels = None builds the problem without
-    a wavelet workspace, which Problem.build would check against the
-    shape: a step at lam = 0 never reaches the prox, so shapes that admit
-    no wavelet level can test the DCT step."""
+    and the config it ran with.  levels = None, for a shape that admits no
+    wavelet level, builds the problem by hand without a workspace, with
+    Problem.build's cb rule: a step at lam = 0 never reaches the prox."""
     eta = 0.9 / operator_spectrum(psf, b.shape).lambda_max_AtA
     cfg = SolverConfig(variant="efista", eta=eta, lam=lam, n=n, p=1.5,
                        wavelet_levels=levels)
@@ -37,7 +36,7 @@ def one_step(psf, b, y, n, lam, levels):
                           plan=operator_plan(psf, b.shape, eta, n), cb=dct2(b))
     else:
         problem = Problem.build(cfg, b, psf)
-    assert problem.plan.lam is not None
+    assert problem.cb is not None
     state = efista_step(SolverState.start(y, problem), cfg, problem)
     return state, cfg
 
@@ -51,6 +50,7 @@ seeds = st.integers(0, 2**32 - 1)
        n=st.integers(1, 8), seed=seeds)
 @example(size=7, h=9, w=14, n=8, seed=1)
 @example(size=5, h=17, w=23, n=3, seed=2)
+@example(size=7, h=16, w=22, n=4, seed=3)
 def test_dct_gradient_and_weighted_step_match_spatial(size, h, w, n, seed):
     psf = symmetric_psf(size, seed)
     rng = np.random.default_rng(seed)
@@ -60,7 +60,7 @@ def test_dct_gradient_and_weighted_step_match_spatial(size, h, w, n, seed):
     assert close(gradient(psf, x, b), spatial, 1e-10)
 
     # lam = 0 skips the prox, so the step returns z = y - eta W_n grad f(y)
-    state, cfg = one_step(psf, b, x, n, 0.0, None)
+    state, cfg = one_step(psf, b, x, n, 0.0, None if h % 2 or w % 2 else 1)
     z = x.copy()
     for _ in range(n):
         z -= cfg.eta * blur_apply(psf, blur_apply(psf, z) - b)

@@ -270,6 +270,25 @@ def test_numpy_integer_order_and_iterations_are_accepted(tiny_problem):
     assert np.array_equal(x_np, x_py)
 
 
+def test_run_builds_one_wavelet_workspace(monkeypatch, tiny_problem):
+    from proxdeblur import solvers, wavelet
+
+    built = []
+
+    class Counted(LiftingWorkspace):
+        def __init__(self, shape, levels):
+            built.append(shape)
+            super().__init__(shape, levels)
+
+    monkeypatch.setattr(wavelet, "LiftingWorkspace", Counted)
+    monkeypatch.setattr(solvers, "LiftingWorkspace", Counted)
+    psf, b = tiny_problem
+    _, trace = run_solver(SolverConfig(variant="efista", lam=1e-3, n=4, max_iters=3,
+                                       wavelet_levels=2), b, psf)
+    assert len(trace) == 3
+    assert built == [b.shape]
+
+
 def test_step_size_just_above_the_bound_is_rejected_without_flip_symmetry(rng, asymmetric_psf):
     # 1/eta is 1.4e-7 relative below lambda_max(A^T A) = 1.03339596 here,
     # beyond the 1 + 1e-9 slack of the step-size check
