@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from proxdeblur import Psf, make_gaussian_psf
+from oracle import route_kernels
+from proxdeblur import make_gaussian_psf
 
 
 @pytest.fixture
@@ -27,9 +28,4 @@ def psf74():
 @pytest.fixture(scope="session")
 def asymmetric_psf():
     """A normalized 3x3 kernel with no flip symmetry (adjoint != forward)."""
-    t = np.array([
-        [0.05, 0.10, 0.02],
-        [0.20, 0.30, 0.08],
-        [0.03, 0.15, 0.07],
-    ])
-    return Psf(size=3, taps=t / t.sum())
+    return route_kernels()["2d"]

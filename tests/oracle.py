@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from proxdeblur.linop import blur_apply, dct2, gradient
+from proxdeblur.linop import Psf, blur_apply, dct2, gradient, make_gaussian_psf
 from proxdeblur.solvers import Variant, objective
 from proxdeblur.wavelet import ALPHA, BETA, DELTA, GAMMA, ZETA, l1_norm_wavelet
 
 __all__ = [
     "MAX_PIXELS",
+    "route_kernels",
     "DenseOperator",
     "densify_blur",
     "direct_blur",
@@ -35,6 +36,22 @@ __all__ = [
 ]
 
 MAX_PIXELS = 256
+
+
+def route_kernels():
+    """One kernel per operator route of the library, keyed by route.
+
+    "dct": the benchmark blur, a 7x7 Gaussian (sigma 4), doubly symmetric;
+    "separable": the nonsym_kernel benchmark's kernel, the same Gaussian
+    centred half a tap below the middle row, rank one without flip
+    symmetry; "2d": a 3x3 kernel that is neither.
+    """
+    i = np.arange(7.0)
+    g = np.exp(-((i[:, None] - 3.5) ** 2 + (i[None, :] - 3.0) ** 2) / 32)
+    t = np.array([[0.05, 0.10, 0.02], [0.20, 0.30, 0.08], [0.03, 0.15, 0.07]])
+    return {"dct": make_gaussian_psf(7, 4.0),
+            "separable": Psf(size=7, taps=g / g.sum()),
+            "2d": Psf(size=3, taps=t / t.sum())}
 
 
 @dataclass
