@@ -1,13 +1,15 @@
 """Proximal-gradient image deblurring with weighted-gradient acceleration.
 
-The library solves min_x 0.5*||Ax - b||^2 + lam*||Phi x||_1 for a reflective
-Gaussian blur A and an orthonormal wavelet transform Phi, with four solver
-variants: plain and accelerated proximal gradient (ista, fista), an n-step
-inner-gradient scheme (ifista), and its one-shot weighted-gradient form with
-a scaled shrinkage threshold (efista).  The experiments module reproduces
-the convergence, threshold-sweep and PSNR-table benchmarks; the cli module
-exposes them as the `proxdeblur` command.  The package re-exports what a
-single run needs; everything else is imported from its module.
+The library solves min_x 0.5*||Ax - b||^2 + lam*||Phi x||_1 (the l1 over the
+detail bands) for a blur A by any normalized odd-sized kernel with
+reflexive borders and Phi the biorthogonal, near-orthonormal CDF 9/7
+wavelet transform.  It has four solver variants: plain and accelerated
+proximal gradient (ista, fista), an n-step inner-gradient scheme (ifista),
+and its one-shot weighted-gradient form with a scaled shrinkage threshold
+(efista).  The experiments module reproduces the convergence,
+threshold-sweep and PSNR-table benchmarks; the cli module exposes them as
+the `proxdeblur` command.  The package re-exports what a single run needs;
+everything else is imported from its module.
 """
 
 from .experiments import add_awgn, synthetic_image

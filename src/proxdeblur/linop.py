@@ -191,21 +191,15 @@ def blur_adjoint(psf, y):
 
 
 def gradient(psf, x, b):
-    """Gradient of the data term f(x) = 1/2 ||Ax - b||^2, i.e. A^T(Ax - b).
-
-    For flip-symmetric kernels it is idct2(lam * (lam * dct2(x) - dct2(b)))
-    with the cached DCT eigenvalues lam of A, the expression the solver's
-    DCT-domain step uses; otherwise blur_apply then blur_adjoint, each two
-    1-D passes when the kernel is rank one.  The symmetry is read from the
-    flag Psf computes once.
+    """Gradient of the data term f(x) = 1/2 ||Ax - b||^2, i.e. A^T(Ax - b),
+    as blur_apply then blur_adjoint, each two 1-D passes when the kernel is
+    rank one.  The n-step recursion calls it for kernels with no DCT form;
+    the solver's DCT-domain step has the gradient in its own expression.
     """
     x = _check_operands(psf, x)
     b = np.asarray(b, dtype=float)
     if x.shape != b.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs b {b.shape}")
-    if psf.is_doubly_symmetric():
-        lam = operator_spectrum(psf, x.shape).lam
-        return idct2(lam * (lam * dct2(x) - dct2(b)))
     return blur_adjoint(psf, blur_apply(psf, x) - b)
 
 

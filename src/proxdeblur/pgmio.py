@@ -75,6 +75,11 @@ def read_pgm(path):
         raw = np.frombuffer(data[pos:pos + need], dtype=dtype)
         samples = raw.astype(float)
     else:
+        # each sample takes at least a separator and a digit
+        if len(data) - pos < 2 * count:
+            raise OSError(
+                f"{path}: raster truncated, end of file at byte {len(data)}"
+                f" (expected at least {2 * count} bytes from byte {pos})")
         samples = np.empty(count, dtype=float)
         for i in range(count):
             value, start, pos = _int_token(data, pos, path, "sample")

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .linop import blur_apply, dct2, idct2, require_int
-from .wavelet import LiftingWorkspace, l1_norm_wavelet, prox_l1_wavelet, wavelet_depth
+from .wavelet import LiftingWorkspace, prox_l1_wavelet, wavelet_depth
 from .weighting import MAX_ORDER, apply_weighted_gradient_nstep, operator_plan
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "IterationRecord",
     "IterationTrace",
     "Problem",
-    "objective",
     "psnr",
     "momentum_alpha",
     "momentum_extrapolate",
@@ -144,7 +143,8 @@ class SolverState:
 
     x and the momentum point y, their DCTs cx and cy on the DCT path (None
     otherwise), alpha, the iteration count, and l1, the detail-band l1 of
-    the wavelet coefficients the last prox produced x from.
+    the wavelet coefficients the last prox produced x from (at iteration 0,
+    those of x0 itself when lambda > 0; run_solver sets it).
     """
 
     x: np.ndarray
@@ -203,16 +203,6 @@ def _data_term(state, problem):
     r = problem.plan.lam * state.cx
     r -= problem.cb
     return _half_sq(r)
-
-
-def objective(x, b, psf, lam, levels):
-    """F(x) = 1/2 ||Ax - b||^2 + lambda * (wavelet-domain l1 of x)."""
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.shape != b.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs b {b.shape}")
-    data = _half_sq(blur_apply(psf, x) - b)
-    return data + (lam * l1_norm_wavelet(x, levels) if lam != 0 else 0.0)
 
 
 def psnr(x, reference):
@@ -327,11 +317,11 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         return x0, trace
 
     state = SolverState.start(x0, problem)
-    # objective(x0, ...), with the l1 taken in the run's workspace
-    f0 = _half_sq(blur_apply(psf, x0) - b)
     if cfg.lam != 0:
         problem.workspace.analyze(x0)
-        f0 += cfg.lam * problem.workspace.detail_l1()
+        state.l1 = problem.workspace.detail_l1()
+    # F(x0), by the expression of every step below
+    f0 = _data_term(state, problem) + cfg.lam * state.l1
     for _ in range(cfg.max_iters):
         x_prev = state.x  # the step rebinds state.x, never writes into it
         t0 = time.perf_counter()

@@ -21,8 +21,7 @@ spare row between them for the extrapolated end sample, so a predict or
 update step is five whole-band numpy calls; the views of each level are
 built once per workspace.  The pyramid-layout coefficient array hands each
 level's approximation band on to the next.  Each solver run makes one
-workspace and passes it to every prox_l1_wavelet call; l1_norm_wavelet
-builds a workspace of its own.
+workspace and passes it to every prox_l1_wavelet call.
 """
 
 import numpy as np
@@ -37,9 +36,7 @@ __all__ = [
     "ZETA",
     "MAX_LEVELS",
     "LiftingWorkspace",
-    "soft_threshold",
     "prox_l1_wavelet",
-    "l1_norm_wavelet",
     "wavelet_depth",
 ]
 
@@ -247,10 +244,10 @@ class LiftingWorkspace:
         return out
 
     def shrink_details(self, gamma):
-        """Soft-threshold the detail bands of self.coeffs by gamma in place.
-
-        This is soft_threshold's formula, c - clip(c, -gamma, gamma), with
-        the clip of the approximation band zeroed so that band is kept.
+        """Soft-threshold the detail bands of self.coeffs by gamma in place:
+        sign(c) * max(|c| - gamma, 0) as c - clip(c, -gamma, gamma), with
+        the clip of the approximation band zeroed so that band is kept.  An
+        exact-zero result is +0.0.
         """
         g = np.clip(self.coeffs, -gamma, gamma, out=self._shrink)
         self._level(self.levels - 1).approx.fill(0.0)
@@ -263,19 +260,6 @@ class LiftingWorkspace:
         return float(a.sum())
 
 
-def soft_threshold(v, gamma):
-    """Elementwise shrinkage sign(v) * max(|v| - gamma, 0), as v - clip(v).
-
-    An exact-zero result is +0.0 (the sign form gives -0.0 for negative v).
-    LiftingWorkspace.shrink_details applies the same formula in place;
-    keep the two in step.
-    """
-    if gamma < 0:
-        raise ValueError(f"threshold must be nonnegative, got {gamma}")
-    v = np.asarray(v, dtype=float)
-    return v - np.clip(v, -gamma, gamma)
-
-
 def prox_l1_wavelet(x, gamma, workspace):
     """Shrink the wavelet coefficients of x by gamma and transform back, in
     workspace, which fixes the shape and the depth.
@@ -283,8 +267,8 @@ def prox_l1_wavelet(x, gamma, workspace):
     The coarsest approximation band is left untouched (thresholding it would
     shift the mean intensity); all detail bands are shrunk.  Returns
     (image, l1), l1 being the detail-band l1 of the shrunk coefficients,
-    which is l1_norm_wavelet of the image up to rounding.  The returned
-    image is the only new array.
+    which is the detail-band l1 of the image's own coefficients up to
+    rounding.  The returned image is the only new array.
     """
     if gamma < 0:
         raise ValueError(f"threshold must be nonnegative, got {gamma}")
@@ -293,10 +277,3 @@ def prox_l1_wavelet(x, gamma, workspace):
     l1 = workspace.detail_l1()
     return workspace.synthesize(), l1
 
-
-def l1_norm_wavelet(x, levels):
-    """Sum of |coefficient| over the detail bands (approximation excluded)."""
-    x = np.asarray(x, dtype=float)
-    ws = LiftingWorkspace(x.shape, levels)
-    ws.analyze(x)
-    return ws.detail_l1()

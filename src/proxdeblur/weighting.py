@@ -32,7 +32,6 @@ __all__ = [
     "binomial_filter_weights",
     "build_filter",
     "apply_weighted_gradient_nstep",
-    "noise_std_amplification",
     "OperatorPlan",
     "operator_plan",
 ]
@@ -138,16 +137,6 @@ def apply_weighted_gradient_nstep(psf, x, b, eta, n):
     for _ in range(n):
         z -= eta * gradient(psf, z, b)
     return z
-
-
-def noise_std_amplification(lambda_max_AtA, lambda_max_W, sigma_w, eta):
-    """Upper bound on the per-pixel noise std of a weighted gradient step.
-
-    sigma_x <= eta * sigma_w * sqrt(lambda_max(A^T A)) * lambda_max(W_n);
-    with lambda_max(W) = 1 this reduces to the unweighted bound.  Diagnostic
-    motivating the scaled shrinkage threshold p*lambda*eta.
-    """
-    return eta * sigma_w * math.sqrt(lambda_max_AtA) * lambda_max_W
 
 
 @dataclass(frozen=True)

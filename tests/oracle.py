@@ -7,6 +7,12 @@ transform by scalar per-sample lifting.  Instances are capped at 256 pixels
 (16x16 images) so the whole oracle suite stays fast.  The majorizer and the
 O(1/k^2) rate bound of the weighted step are here too, in the W_n^{-1}
 seminorm taken from an operator plan's filter phi.
+
+The second forms of the step's formulas live here as well, so the library
+keeps one form of each, the one the solver runs: the elementwise soft
+threshold, the objective F with a spatial data term, and the DCT-domain
+gradient.  l1_norm_wavelet is a wrapper over LiftingWorkspace, not an
+independent reference.
 """
 
 import math
@@ -14,9 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from proxdeblur.linop import Psf, blur_apply, dct2, gradient, make_gaussian_psf
-from proxdeblur.solvers import Variant, objective
-from proxdeblur.wavelet import ALPHA, BETA, DELTA, GAMMA, ZETA, l1_norm_wavelet
+from proxdeblur.linop import (
+    Psf,
+    blur_apply,
+    dct2,
+    gradient,
+    idct2,
+    make_gaussian_psf,
+    operator_spectrum,
+)
+from proxdeblur.solvers import Variant
+from proxdeblur.wavelet import ALPHA, BETA, DELTA, GAMMA, ZETA, LiftingWorkspace
 
 __all__ = [
     "MAX_PIXELS",
@@ -26,6 +40,10 @@ __all__ = [
     "direct_blur",
     "dense_Wn",
     "densify_wavelet",
+    "soft_threshold",
+    "l1_norm_wavelet",
+    "objective",
+    "dct_gradient",
     "dense_solver_step",
     "normal_equations_solve",
     "lasso_coordinate_descent",
@@ -68,15 +86,17 @@ def _check_size(width, height):
         )
 
 
-def densify_blur(psf, width, height):
-    """Materialize the blur operator column by column from basis images."""
+def densify_blur(psf, width, height, blur=blur_apply):
+    """Materialize the blur operator column by column from basis images,
+    each blurred by blur(psf, image): the library's blur_apply, or
+    direct_blur where the library blur is what is under test."""
     _check_size(width, height)
     n = width * height
     entries = np.empty((n, n))
     for j in range(n):
         e = np.zeros((height, width))
         e[j // width, j % width] = 1.0
-        entries[:, j] = blur_apply(psf, e).ravel()
+        entries[:, j] = blur(psf, e).ravel()
     return DenseOperator(rows=n, cols=n, entries=entries)
 
 
@@ -217,6 +237,52 @@ def densify_wavelet(width, height, levels):
         syn[:, j] = _scalar_synthesize(e, levels).ravel()
     return (DenseOperator(rows=n, cols=n, entries=ana),
             DenseOperator(rows=n, cols=n, entries=syn))
+
+
+def soft_threshold(v, gamma):
+    """Elementwise shrinkage sign(v) * max(|v| - gamma, 0), as v - clip(v).
+
+    An exact-zero result is +0.0 (the sign form gives -0.0 for negative v).
+    LiftingWorkspace.shrink_details applies the same formula in place.
+    """
+    if gamma < 0:
+        raise ValueError(f"threshold must be nonnegative, got {gamma}")
+    v = np.asarray(v, dtype=float)
+    return v - np.clip(v, -gamma, gamma)
+
+
+def l1_norm_wavelet(x, levels):
+    """Sum of |coefficient| over the detail bands (approximation excluded).
+
+    A wrapper over a fresh LiftingWorkspace (analyze, then detail_l1), so it
+    rounds as the solver's l1 does; the scalar lifting is the independent
+    reference for the coefficients themselves.
+    """
+    x = np.asarray(x, dtype=float)
+    ws = LiftingWorkspace(x.shape, levels)
+    ws.analyze(x)
+    return ws.detail_l1()
+
+
+def objective(x, b, psf, lam, levels):
+    """F(x) = 1/2 ||Ax - b||^2 + lambda * (wavelet-domain l1 of x), with the
+    data term from the spatial blur."""
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if x.shape != b.shape:
+        raise ValueError(f"shape mismatch: x {x.shape} vs b {b.shape}")
+    r = blur_apply(psf, x) - b
+    data = 0.5 * float((r * r).sum())
+    return data + (lam * l1_norm_wavelet(x, levels) if lam != 0 else 0.0)
+
+
+def dct_gradient(psf, x, b):
+    """A^T(Ax - b) for a doubly symmetric kernel, in the DCT domain:
+    idct2(lam * (lam * dct2(x) - dct2(b))) with the cached eigenvalues lam
+    of A, the expression of the solver's DCT-domain step at n = 1."""
+    x = np.asarray(x, dtype=float)
+    lam = operator_spectrum(psf, x.shape).lam
+    return idct2(lam * (lam * dct2(x) - dct2(b)))
 
 
 def dense_solver_step(x, y, alpha, b, A, Wn, analysis, synthesis, shape, cfg):

@@ -21,6 +21,7 @@ from oracle import (
     dense_solver_step,
     densify_blur,
     densify_wavelet,
+    objective,
     rate_check,
     surrogate_Q,
 )
@@ -49,7 +50,6 @@ from proxdeblur.solvers import (
     SolverState,
     Variant,
     efista_step,
-    objective,
     run_solver,
 )
 from proxdeblur.wavelet import LiftingWorkspace

@@ -146,6 +146,16 @@ def test_missing_input_image_exits_one_naming_path(tmp_path):
     assert "ghost.pgm" in res.stderr
 
 
+def test_p2_header_declaring_more_samples_than_the_file_holds_exits_one(tmp_path):
+    # 65535x65535 samples would take 32 GiB; the length check comes first
+    (tmp_path / "huge.pgm").write_bytes(b"P2\n65535 65535\n255\n0\n")
+    cfg = write_cfg(tmp_path / "run.cfg", image=str(tmp_path / "huge.pgm"))
+    res = run_cli("deblur", "--config", cfg)
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "raster truncated" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_usage_error_exits_one():
     res = run_cli("nosuchcommand")
     assert res.returncode == 1

@@ -10,6 +10,8 @@ from oracle import (
     direct_blur,
     lasso_coordinate_descent,
     normal_equations_solve,
+    route_kernels,
+    soft_threshold,
 )
 from proxdeblur.linop import Psf, blur_apply
 from proxdeblur.solvers import (
@@ -18,7 +20,7 @@ from proxdeblur.solvers import (
     SolverState,
     efista_step,
 )
-from proxdeblur.wavelet import LiftingWorkspace, soft_threshold
+from proxdeblur.wavelet import LiftingWorkspace
 from proxdeblur.weighting import apply_weighted_gradient_nstep
 
 
@@ -96,24 +98,20 @@ def test_dense_wavelet_matrices_match_fast_path(rng):
     assert np.abs(syn.entries @ ana.entries - np.eye(64)).max() < 1e-9
 
 
-@pytest.mark.parametrize("variant,n,p", [
-    ("ista", 1, 1.0),
-    ("fista", 1, 1.0),
-    ("ifista", 4, 1.0),
-    ("efista", 4, 2.0),
-])
-def test_dense_step_matches_solver_step(rng, psf31, variant, n, p):
+def march_dense_and_solver(rng, psf, A, eta, variant, n, p):
+    """20 steps of efista_step and of dense_solver_step from the same noisy
+    8x8 data (lam = 1e-3, two wavelet levels); their alphas agree to 1e-12
+    at every step and their final x to 1e-8.  Returns the solver's Problem."""
     h = w = 8
-    eta, lam, levels = 0.9, 1e-3, 2
+    lam, levels = 1e-3, 2
     cfg = SolverConfig(variant=variant, eta=eta, lam=lam, n=n, p=p,
                        wavelet_levels=levels)
-    A = densify_blur(psf31, w, h)
     Wn = dense_Wn(A, eta, cfg.n)
     ana, syn = densify_wavelet(w, h, levels)
 
     truth = rng.uniform(0, 1, (h, w))
-    b = blur_apply(psf31, truth) + 0.01 * rng.standard_normal((h, w))
-    problem = Problem.build(cfg, b, psf31)
+    b = blur_apply(psf, truth) + 0.01 * rng.standard_normal((h, w))
+    problem = Problem.build(cfg, b, psf)
 
     state = SolverState.start(b.copy(), problem)
     xd, yd, ad = b.ravel().copy(), b.ravel().copy(), 1.0
@@ -124,6 +122,30 @@ def test_dense_step_matches_solver_step(rng, psf31, variant, n, p):
         xd = xd_new
         assert abs(ad - state.alpha) < 1e-12
     assert np.abs(state.x.ravel() - xd).max() < 1e-8
+    return problem
+
+
+@pytest.mark.parametrize("variant,n,p", [
+    ("ista", 1, 1.0),
+    ("fista", 1, 1.0),
+    ("ifista", 4, 1.0),
+    ("efista", 4, 2.0),
+])
+def test_dense_step_matches_solver_step(rng, psf31, variant, n, p):
+    march_dense_and_solver(rng, psf31, densify_blur(psf31, 8, 8), 0.9, variant, n, p)
+
+
+@pytest.mark.parametrize("route", ["separable", "2d"])
+@pytest.mark.parametrize("variant,n,p", [("fista", 1, 1.0), ("efista", 4, 2.0)])
+def test_dense_step_matches_solver_step_on_the_nstep_routes(rng, route, variant, n, p):
+    # the dense A comes from direct_blur, so the library blur that the
+    # n-step recursion runs is not its own reference
+    psf = route_kernels()[route]
+    A = densify_blur(psf, 8, 8, blur=direct_blur)
+    eta = 0.9 / np.linalg.eigvalsh(A.entries.T @ A.entries).max()
+    problem = march_dense_and_solver(rng, psf, A, eta, variant, n, p)
+    assert problem.cb is None
+    assert (psf.factors is not None) == (route == "separable")
 
 
 def test_dense_step_reduces_to_gradient_descent(rng, psf31):

@@ -92,6 +92,14 @@ def test_malformed_files_error_with_byte_offset(tmp_path, content, fragment):
     assert "byte" in str(err.value)
 
 
+def test_p2_raster_too_short_for_its_header_is_rejected_before_allocation(tmp_path):
+    # 65535x65535 samples would take 32 GiB; each needs at least 2 bytes
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P2\n65535 65535\n255\n0\n")
+    with pytest.raises(OSError, match=r"raster truncated.*byte 21.*from byte 18"):
+        read_pgm(str(path))
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pgm(str(tmp_path / "nope.pgm"))

@@ -9,14 +9,11 @@ from oracle import (
     _scalar_analyze,
     _scalar_synthesize,
     densify_wavelet,
-    lasso_coordinate_descent,
-)
-from proxdeblur.wavelet import (
-    LiftingWorkspace,
     l1_norm_wavelet,
-    prox_l1_wavelet,
+    lasso_coordinate_descent,
     soft_threshold,
 )
+from proxdeblur.wavelet import LiftingWorkspace, prox_l1_wavelet
 
 
 def analyze(x, levels):

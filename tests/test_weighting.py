@@ -10,7 +10,6 @@ from proxdeblur.weighting import (
     apply_weighted_gradient_nstep,
     binomial_filter_weights,
     build_filter,
-    noise_std_amplification,
     operator_plan,
 )
 
@@ -121,10 +120,3 @@ def test_nstep_weighting_validation(psf31):
     with pytest.raises(ValueError):
         apply_weighted_gradient_nstep(psf31, np.ones((8, 8)), np.ones((8, 8)), 1.0, 0)
 
-
-def test_noise_amplification_bound():
-    assert noise_std_amplification(1.0, 1.0, 0.01, 1.0) == pytest.approx(0.01)
-    assert noise_std_amplification(1.0, 8.0, 0.01, 1.0) == pytest.approx(0.08)
-    # scales linearly in each factor
-    assert noise_std_amplification(4.0, 8.0, 0.01, 1.0) == pytest.approx(0.16)
-    assert noise_std_amplification(1.0, 8.0, 0.01, 0.5) == pytest.approx(0.04)
