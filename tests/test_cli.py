@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -7,10 +8,16 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import proxdeblur
+from make_golden import SCENARIO_PATH, run_scenario, scenario_mismatch, scenario_record
 from proxdeblur.experiments import psnr, synthetic_image
 from proxdeblur.pgmio import read_pgm
+
+SCENARIO_GOLDEN = json.loads(SCENARIO_PATH.read_text())
+SAME_BUILD = (SCENARIO_GOLDEN["numpy"], SCENARIO_GOLDEN["scipy"]) == (
+    np.__version__, scipy.__version__)
 
 # the directory the test process imported proxdeblur from, as an absolute
 # path, so the child runs the same code whatever its cwd
@@ -347,30 +354,22 @@ def test_empty_config_gives_the_scenario_defaults(tmp_path):
         "x", noise_sigma=0.01, K=50)
 
 
-SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scenarios")
-
-
-@pytest.mark.parametrize("name,command,code,artifacts", [
-    ("deblur_demo", "deblur", 0, ["blurred.pgm", "deblurred.pgm", "trace.csv"]),
-    ("curves_cameraman", "curves", 2,
+@pytest.mark.parametrize("name,code,artifacts", [
+    ("deblur_demo", 0, ["blurred.pgm", "deblurred.pgm", "trace.csv"]),
+    ("curves_cameraman", 2,
      [f"curves_cameraman_sigma0.01_{v}.csv" for v in ("efista", "fista", "ifista")]),
-    ("psweep_cameraman", "sweep", 0, ["psweep_cameraman_n8.csv"]),
-    ("psnr_table", "table", 0, ["table.csv", "table.txt"]),
+    ("psweep_cameraman", 0, ["psweep_cameraman_n8.csv"]),
+    ("psnr_table", 0, ["table.csv", "table.txt"]),
 ], ids=["deblur_demo", "curves_cameraman", "psweep_cameraman", "psnr_table"])
-def test_committed_scenarios_run_at_a_small_size(tmp_path, name, command, code, artifacts):
-    from proxdeblur import cli
-
-    small = {"size": "32", "trials": "2", "images": "cameraman, lena"}
-    lines = []
-    with open(os.path.join(SCENARIOS, f"{name}.cfg"), encoding="utf-8") as f:
-        for line in f:
-            key = line.split("=", 1)[0].strip()
-            lines.append(f"{key} = {small[key]}\n" if key in small else line)
-    cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text("".join(lines), encoding="utf-8")
-    out = tmp_path / "o"
-    assert cli.main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+def test_committed_scenarios_run_at_a_small_size(tmp_path, name, code, artifacts):
+    # every output byte apart from the timings is compared against
+    # tests/golden/scenarios.json (written by tests/make_golden.py)
+    code_got, stdout, out = run_scenario(name, tmp_path)
+    assert code_got == code
     assert sorted(os.listdir(out)) == artifacts
+    got = scenario_record(name, code_got, stdout, out)
+    mismatch = scenario_mismatch(SCENARIO_GOLDEN["scenarios"][name], got, SAME_BUILD)
+    assert mismatch is None, f"{name}: {mismatch}"
 
 
 def test_table_empty_image_list_exits_one(tmp_path):

@@ -1,4 +1,5 @@
-"""run_solver against the library goldens written by tests/make_golden.py.
+"""run_solver against the library goldens written by tests/make_golden.py,
+and the coverage of the scenario goldens that test_cli.py compares against.
 
 On the numpy and scipy versions that wrote the goldens every objective and
 the final iterate's hash must match exactly.  Another build may round
@@ -13,7 +14,16 @@ import numpy as np
 import pytest
 import scipy
 
-from make_golden import CASES, KERNELS, PATH, run_case
+from make_golden import (
+    CASES,
+    KERNELS,
+    PATH,
+    SCENARIO_DIR,
+    SCENARIO_PATH,
+    SCENARIOS,
+    run_case,
+    scenario_mismatch,
+)
 
 GOLDEN = json.loads(PATH.read_text())
 SAME_BUILD = (GOLDEN["numpy"], GOLDEN["scipy"]) == (np.__version__, scipy.__version__)
@@ -43,3 +53,21 @@ def test_run_solver_reproduces_golden(name):
         assert digest == want["x_sha256"], f"{name}: final iterate differs ({builds})"
     else:
         assert rel <= 1e-9, f"{name}: largest relative objective difference {rel:.3e} ({builds})"
+
+
+def test_scenario_goldens_cover_every_committed_scenario():
+    committed = sorted(p.stem for p in SCENARIO_DIR.glob("*.cfg"))
+    assert sorted(SCENARIOS) == committed
+    assert sorted(json.loads(SCENARIO_PATH.read_text())["scenarios"]) == committed
+
+
+def test_scenario_mismatch_names_the_file_and_its_first_differing_row():
+    want = json.loads(SCENARIO_PATH.read_text())["scenarios"]["psweep_cameraman"]
+    got = json.loads(json.dumps(want))
+    rows = got["files"]["psweep_cameraman_n8.csv"]
+    rows[3] = rows[3].split(",")[0] + ",0.5"
+    assert scenario_mismatch(want, want, same_build=True) is None
+    for same_build in (True, False):
+        assert scenario_mismatch(want, got, same_build) == (
+            f"psweep_cameraman_n8.csv: first differing row 3: {rows[3]!r},"
+            f" golden {want['files']['psweep_cameraman_n8.csv'][3]!r}")
