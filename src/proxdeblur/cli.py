@@ -21,18 +21,17 @@ from .experiments import (
     CURVE_HEADER,
     STANDARD_IMAGES,
     Scenario,
-    add_awgn,
+    _run_trial,
     format_trace_rows,
     load_image,
-    psnr,
     run_convergence_test,
     run_p_sweep,
     run_psnr_table,
     write_csv,
 )
-from .linop import blur_apply, make_gaussian_psf
+from .linop import make_gaussian_psf
 from .pgmio import write_pgm
-from .solvers import run_solver, runs_diverged
+from .solvers import psnr, runs_diverged
 
 __all__ = ["ConfigError", "parse_config", "main",
            "cmd_deblur", "cmd_curves", "cmd_sweep", "cmd_table"]
@@ -127,7 +126,7 @@ def parse_config(path):
 def _image_source(cfg):
     """Resolve the image key to (image_id, images_dir or None for synthetic).
 
-    Paths are checked here, before any computation starts.
+    Only the syntax is checked here; load_image checks that the file exists.
     """
     image = cfg["image"]
     if image.startswith("synthetic:"):
@@ -137,9 +136,16 @@ def _image_source(cfg):
         return name, None
     if not image.endswith(".pgm"):
         raise ConfigError(f"image must be 'synthetic:<name>' or a .pgm path, got '{image}'")
-    if not os.path.exists(image):
-        raise ConfigError(f"input image not found: {image}")
     return os.path.basename(image)[:-4], os.path.dirname(image) or "."
+
+
+def _check_out(out):
+    """Reject an out that is, or lies under, an existing file, before any run."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"out: {path} exists and is not a directory")
 
 
 def _scenario(cfg, image_id):
@@ -148,14 +154,14 @@ def _scenario(cfg, image_id):
 
 
 def cmd_deblur(cfg, quiet=False):
-    """Blur, add noise, solve once, write blurred/deblurred PGMs + trace CSV."""
+    """Blur, add noise, solve once (trial 0 of the scenario), write
+    blurred/deblurred PGMs + trace CSV."""
     image_id, images_dir = _image_source(cfg)
     scenario = _scenario(cfg, image_id)
-    solver_cfg = scenario.solver_config(cfg["variant"], cfg["n"], cfg["p"], cfg["iterations"])
-    psf = make_gaussian_psf(cfg["psf_size"], cfg["psf_sigma"])
-    truth = load_image(image_id, images_dir, cfg["size"])
-    b = add_awgn(blur_apply(psf, truth), cfg["noise_sigma"], cfg["seed"])
-    x, trace = run_solver(solver_cfg, b, psf, x0=b, truth=truth)
+    solver_cfg = scenario.solver_config(cfg["variant"], scenario.n, cfg["p"], scenario.K)
+    psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
+    truth = load_image(image_id, images_dir, scenario.image_size)
+    x, trace, b = _run_trial(truth, psf, scenario, solver_cfg, 0)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     write_pgm(os.path.join(out, "blurred.pgm"), b)
@@ -221,19 +227,11 @@ def cmd_table(cfg, quiet=False):
         raise ConfigError(
             f"noise_levels has {len(cfg['noise_levels'])} entries but"
             f" K_values has {len(cfg['K_values'])}")
-    images_dir = cfg["images_dir"]
-    if images_dir is not None and not os.path.isdir(images_dir):
-        raise ConfigError(f"images_dir not found: {images_dir}")
-    if images_dir is not None:
-        for image_id in cfg["images"]:
-            path = os.path.join(images_dir, f"{image_id}.pgm")
-            if not os.path.exists(path):
-                raise ConfigError(f"test image not found: {path}")
     scenarios = [
         dataclasses.replace(_scenario(cfg, image_id), noise_sigma=sigma, K=k)
         for image_id in cfg["images"]
         for sigma, k in zip(cfg["noise_levels"], cfg["K_values"])]
-    table = run_psnr_table(scenarios, out_dir=cfg["out"], images_dir=images_dir)
+    table = run_psnr_table(scenarios, out_dir=cfg["out"], images_dir=cfg["images_dir"])
     if not quiet:
         print(table.render())
     return 0
@@ -273,6 +271,7 @@ def main(argv=None):
             cfg["out"] = args.out
         if args.seed is not None:
             cfg["seed"] = args.seed
+        _check_out(cfg["out"])
         command, _ = _COMMANDS[args.command]
         return command(cfg, quiet=args.quiet)
     except (ConfigError, OSError, ValueError) as exc:

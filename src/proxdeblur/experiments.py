@@ -10,6 +10,7 @@ convergence CSV row, per trial and across-trial mean alike.
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,7 +31,6 @@ __all__ = [
     "PSweepPoint",
     "PSweepResult",
     "add_awgn",
-    "psnr",
     "synthetic_image",
     "load_image",
     "run_convergence_test",
@@ -122,11 +122,12 @@ def load_image(image_id, images_dir=None, size=256):
     """Load <images_dir>/<image_id>.pgm, or fall back to the synthetic scene.
 
     With images_dir given, a missing file is an error (no silent fallback).
+    This is the one place that checks that an image file exists.
     """
     if images_dir is not None:
         path = os.path.join(images_dir, f"{image_id}.pgm")
         if not os.path.exists(path):
-            raise FileNotFoundError(f"test image not found: {path}")
+            raise FileNotFoundError(f"image not found: {path}")
         return read_pgm(path)
     return synthetic_image(image_id, size)
 
@@ -179,13 +180,16 @@ class Scenario:
 
 
 def _run_trial(truth, psf, scenario, cfg, trial):
+    """(x, trace, b) of trial `trial` of cfg on scenario: b is truth blurred
+    and with the noise of seed + trial, and the run starts from it."""
     b = add_awgn(blur_apply(psf, truth), scenario.noise_sigma, scenario.seed + trial)
-    return run_solver(cfg, b, psf, x0=b, truth=truth)
+    x, trace = run_solver(cfg, b, psf, x0=b, truth=truth)
+    return x, trace, b
 
 
 def _run_trials(truth, psf, scenario, cfg):
-    """(x, trace) of every trial of cfg on scenario, in trial order, run on
-    min(trials, cpu_count) threads."""
+    """(x, trace, b) of every trial of cfg on scenario, in trial order, run
+    on min(trials, cpu_count) threads."""
     with ThreadPoolExecutor(max_workers=min(scenario.trials, os.cpu_count() or 1)) as ex:
         return list(ex.map(partial(_run_trial, truth, psf, scenario, cfg),
                            range(scenario.trials)))
@@ -228,12 +232,9 @@ def _trace_matrix(traces, iters, attr):
 
 def _nanmean_rows(mat):
     """Column means ignoring NaN; columns with no data stay NaN, no warnings."""
-    counts = np.sum(~np.isnan(mat), axis=0)
-    sums = np.nansum(mat, axis=0)
-    out = np.full(mat.shape[1], np.nan)
-    nz = counts > 0
-    out[nz] = sums[nz] / counts[nz]
-    return out
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmean(mat, axis=0)
 
 
 def run_convergence_test(scenario, variants, n_values, out_dir=None, images_dir=None):
@@ -257,7 +258,7 @@ def run_convergence_test(scenario, variants, n_values, out_dir=None, images_dir=
         per_n = {}
         rows = []
         for n, cfg in per_order.items():
-            traces = [trace for _, trace in _run_trials(truth, psf, scenario, cfg)]
+            traces = [trace for _, trace, _ in _run_trials(truth, psf, scenario, cfg)]
             obj = _trace_matrix(traces, scenario.K, "objective")
             psn = _trace_matrix(traces, scenario.K, "psnr")
             mean_obj = _nanmean_rows(obj)
@@ -332,7 +333,7 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None, images_dir=None
     truth = load_image(scenario.image_id, images_dir, scenario.image_size)
     result = PSweepResult(image_id=scenario.image_id, n=n, probe_iter=probe_iter)
     for cfg in configs:
-        traces = [trace for _, trace in _run_trials(truth, psf, scenario, cfg)]
+        traces = [trace for _, trace, _ in _run_trials(truth, psf, scenario, cfg)]
         mean_obj = _nanmean_rows(_trace_matrix(traces, scenario.K, "objective"))
         diverged = runs_diverged([tr.diverged for tr in traces], mean_obj)
         fprobe = float(mean_obj[probe_iter - 1])
@@ -379,7 +380,8 @@ class ResultTable:
 
 def run_psnr_table(scenarios, out_dir=None, images_dir=None):
     """Averaged final PSNR per algorithm: the baseline at K iterations, the
-    weighted variants at K // iter_divisor.
+    weighted variants at K // iter_divisor.  Every setting is checked, then
+    each distinct (image, size) is loaded once, before the first run.
 
     Returns a ResultTable; with out_dir set also writes table.csv and the
     rendered table.txt.
@@ -392,13 +394,15 @@ def run_psnr_table(scenarios, out_dir=None, images_dir=None):
         configs.append((make_gaussian_psf(sc.psf_size, sc.psf_sigma),
                         [(name, sc.solver_config(variant, sc.n, None, iters))
                          for name, variant, iters in algs]))
+    truths = {key: load_image(key[0], images_dir, key[1])
+              for key in dict.fromkeys((sc.image_id, sc.image_size) for sc in scenarios)}
     table = ResultTable()
     for sc, (psf, algs) in zip(scenarios, configs):
-        truth = load_image(sc.image_id, images_dir, sc.image_size)
+        truth = truths[sc.image_id, sc.image_size]
         for name, cfg in algs:
             runs = _run_trials(truth, psf, sc, cfg)
-            psnrs = np.array([psnr(x, truth) for x, _ in runs])
-            secs = np.array([sum(rec.seconds for rec in tr.records) for _, tr in runs])
+            psnrs = np.array([psnr(x, truth) for x, _, _ in runs])
+            secs = np.array([sum(rec.seconds for rec in tr.records) for _, tr, _ in runs])
             table.rows.append(TableRow(
                 image_id=sc.image_id, sigma=sc.noise_sigma, algorithm=name,
                 iters=cfg.max_iters, psnr_mean=float(psnrs.mean()),

@@ -7,11 +7,12 @@ kernels that are flip-symmetric in both axes this operator is diagonalized by
 the orthonormal 2D DCT-II, A = C^T diag(lam) C, so every product with A or
 A^T becomes a pointwise product in the DCT domain.  Other kernels are applied
 in the spatial domain: a rank-one kernel (taps = outer(col, row)) as two 1-D
-passes, any other as one 2-D correlation.  operator_spectrum is the
-one path to the operator's spectral facts: it holds lam (from
-spectral_decompose) and lambda_max(A^T A), which for other kernels comes
-from one Lanczos solve on the matrix-free A^T A, computed once per
-(kernel, shape) and cached.  lambda_max_AtA reads that cache.
+passes, any other as one 2-D correlation.  OperatorPlan holds what a
+solver run needs of A; operator_spectrum is the cached n = 1 plan of a
+(kernel, shape): lam (from spectral_decompose) and lambda_max(A^T A), which
+for other kernels comes from one Lanczos solve on the matrix-free A^T A.
+lambda_max_AtA reads that cache, and weighting.operator_plan adds the W_n
+filter for n > 1.
 """
 
 import math
@@ -33,7 +34,7 @@ __all__ = [
     "spectral_decompose",
     "lambda_max_AtA",
     "BuildCache",
-    "OperatorSpectrum",
+    "OperatorPlan",
     "operator_spectrum",
     "require_int",
 ]
@@ -296,17 +297,23 @@ class BuildCache:
 
 
 @dataclass(frozen=True)
-class OperatorSpectrum:
-    """What the solver needs of A for one (kernel, shape), eta aside.
+class OperatorPlan:
+    """Everything a solver run needs to know about its operator.
 
-    lam holds the signed DCT eigenvalues of A (None when the kernel is not
-    doubly symmetric, so A has no DCT form); lambda_max_AtA is the largest
-    of lam^2, or the Lanczos eigenvalue otherwise, exact to round-off
-    either way.
+    With a DCT form (doubly symmetric kernel) lam holds the signed DCT
+    eigenvalues of A, phi the W_n filter at mu = eta lam^2 (1.0 when
+    n = 1), gain = phi * lam, the factor the DCT-domain step applies to its
+    residual, and lambda_max_W = max phi, attained at the smallest mu.
+    Without one those three are None and lambda_max_W is n.
+    lambda_max_AtA is the largest of lam^2, or the Lanczos eigenvalue
+    otherwise, exact to round-off either way.
     """
 
-    lam: np.ndarray | None
     lambda_max_AtA: float
+    lambda_max_W: float
+    lam: np.ndarray | None = None
+    phi: np.ndarray | float | None = None
+    gain: np.ndarray | None = None
 
 
 def psf_key(psf):
@@ -318,7 +325,7 @@ _SPECTRA = BuildCache(8)
 
 
 def operator_spectrum(psf, shape):
-    """The cached OperatorSpectrum of psf on (height, width) images.
+    """The cached n = 1 OperatorPlan of psf on (height, width) images.
 
     For a doubly symmetric kernel this is one spectral_decompose (self-check
     included); otherwise one Lanczos solve (_lanczos_lambda_max).
@@ -327,9 +334,11 @@ def operator_spectrum(psf, shape):
 
     def build():
         if not psf.is_doubly_symmetric():
-            return OperatorSpectrum(lam=None, lambda_max_AtA=_lanczos_lambda_max(psf, shape))
+            return OperatorPlan(lambda_max_AtA=_lanczos_lambda_max(psf, shape),
+                                lambda_max_W=1.0)
         lam = spectral_decompose(psf, shape)
         lam.flags.writeable = False
-        return OperatorSpectrum(lam=lam, lambda_max_AtA=float((lam * lam).max()))
+        return OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
+                            lam=lam, phi=1.0, gain=lam)
 
     return _SPECTRA.get((psf_key(psf), h, w), build)

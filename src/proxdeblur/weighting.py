@@ -11,15 +11,15 @@ In the DCT eigenbasis W_n acts as the scalar filter
     phi(mu) = (1 - (1 - mu)^n) / mu,   mu = eigenvalue of eta A^T A,
 
 which build_filter evaluates in a cancellation-free form.  operator_plan is
-the one path from a (kernel, shape, eta, n) to what a solver run needs: it
-takes lam and lambda_max(A^T A) from the cached operator_spectrum, checks
-eta against the latter, and adds phi, the step's gain phi * lam and
-lambda_max(W_n).  The matrix-free n-step recursion is the exact fallback
-for operators with no DCT form.
+the one path from a (kernel, shape, eta, n) to what a solver run needs, a
+linop.OperatorPlan: it checks eta against lambda_max(A^T A) of the cached
+n = 1 plan, operator_spectrum, and for n > 1 adds phi, the step's gain
+phi * lam and lambda_max(W_n).  The matrix-free n-step recursion is the
+exact fallback for operators with no DCT form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "binomial_filter_weights",
     "build_filter",
     "apply_weighted_gradient_nstep",
-    "OperatorPlan",
     "operator_plan",
 ]
 
@@ -139,34 +138,17 @@ def apply_weighted_gradient_nstep(psf, x, b, eta, n):
     return z
 
 
-@dataclass(frozen=True)
-class OperatorPlan:
-    """Everything a solver run needs to know about its operator.
-
-    Built once per (kernel, shape, eta, n) by operator_plan.  With a DCT
-    form (doubly symmetric kernel) lam holds the signed DCT eigenvalues of
-    A, phi the W_n filter at mu = eta lam^2 (1.0 when n = 1), gain =
-    phi * lam, the factor the DCT-domain step applies to its residual, and
-    lambda_max_W = max phi, attained at the smallest mu.  Without one those
-    three are None and lambda_max_W is n.
-    """
-
-    lambda_max_AtA: float
-    lambda_max_W: float
-    lam: np.ndarray | None = None
-    phi: np.ndarray | float | None = None
-    gain: np.ndarray | None = None
-
-
 _PLANS = BuildCache(8)
 
 
 def operator_plan(psf, shape, eta, n):
-    """The cached OperatorPlan of psf on (height, width) images.
+    """The OperatorPlan of psf on (height, width) images at step size eta
+    and order n.
 
-    Checks the step size against lambda_max(A^T A) from operator_spectrum
-    and builds the W_n filter with build_filter, whose self-checks run once
-    per plan.
+    For n = 1 that is operator_spectrum itself.  Otherwise a kernel with no
+    DCT form only changes lambda_max_W to n, and a DCT plan gets the W_n
+    filter from build_filter, cached per (kernel, shape, eta, n), so its
+    self-checks run once per plan.
 
     Raises
     ------
@@ -176,22 +158,19 @@ def operator_plan(psf, shape, eta, n):
     h, w = shape
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
+    base = operator_spectrum(psf, shape)
+    lam_max = base.lambda_max_AtA
+    if lam_max > 0 and eta > (1 + 1e-9) / lam_max:
+        raise ValueError(f"eta = {eta} exceeds 1/lambda_max(A^T A) = {1 / lam_max!r}")
+    if n == 1:
+        return base
+    if base.lam is None:
+        return replace(base, lambda_max_W=float(n))
 
     def build():
-        spec = operator_spectrum(psf, shape)
-        lam_max = spec.lambda_max_AtA
-        if lam_max > 0 and eta > (1 + 1e-9) / lam_max:
-            raise ValueError(f"eta = {eta} exceeds 1/lambda_max(A^T A) = {1 / lam_max!r}")
-        if spec.lam is None:
-            return OperatorPlan(lambda_max_AtA=lam_max, lambda_max_W=float(n))
-        lam = spec.lam
-        if n == 1:
-            return OperatorPlan(lambda_max_AtA=lam_max, lambda_max_W=1.0,
-                                lam=lam, phi=1.0, gain=lam)
-        phi = build_filter(eta * lam * lam, n)
-        gain = phi * lam
+        phi = build_filter(eta * base.lam * base.lam, n)
+        gain = phi * base.lam
         phi.flags.writeable = gain.flags.writeable = False
-        return OperatorPlan(lambda_max_AtA=lam_max, lambda_max_W=float(phi.max()),
-                            lam=lam, phi=phi, gain=gain)
+        return replace(base, lambda_max_W=float(phi.max()), phi=phi, gain=gain)
 
     return _PLANS.get((psf_key(psf), h, w, float(eta), int(n)), build)

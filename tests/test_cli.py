@@ -75,6 +75,18 @@ def test_every_module_export_resolves():
         assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
+def test_every_exported_name_has_one_home():
+    # the package re-exports from its submodules; among the submodules each
+    # name sits in one __all__, the module that defines it
+    homes = {}
+    for info in pkgutil.iter_modules(proxdeblur.__path__):
+        if info.name != "__main__":
+            for name in importlib.import_module(f"proxdeblur.{info.name}").__all__:
+                homes.setdefault(name, []).append(info.name)
+    shared = {name: mods for name, mods in homes.items() if len(mods) > 1}
+    assert not shared, shared
+
+
 def write_cfg(path, **keys):
     with open(path, "w") as f:
         for k, v in keys.items():
@@ -298,8 +310,7 @@ def test_empty_out_exits_one_before_any_run(monkeypatch, capsys, tmp_path, comma
     def no_run(*args, **kwargs):
         raise AssertionError("a run started with an empty out")
 
-    monkeypatch.setattr(cli, "run_solver", no_run)
-    monkeypatch.setattr(experiments, "run_solver", no_run)
+    monkeypatch.setattr(experiments, "run_solver", no_run)  # deblur runs it too
     cfg = write_cfg(tmp_path / "c.cfg", size=32, iterations=3, trials=1, out="")
     assert cli.main([command, "--config", cfg]) == 1
     assert "c.cfg:4: bad value '' for 'out'" in capsys.readouterr().err
@@ -319,7 +330,7 @@ def test_negative_seed_exits_one_before_any_run(monkeypatch, capsys, tmp_path, c
 
     for module in (cli, experiments):
         monkeypatch.setattr(module, "load_image", no_call)
-        monkeypatch.setattr(module, "run_solver", no_call)
+    monkeypatch.setattr(experiments, "run_solver", no_call)  # deblur runs it too
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path / "c.cfg", size=32, iterations=3, trials=1, seed=-1, out=str(out))
     assert cli.main([command, "--config", cfg]) == 1
@@ -331,6 +342,49 @@ def test_negative_seed_exits_one_before_any_run(monkeypatch, capsys, tmp_path, c
     assert exc.value.code == 1
     assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["deblur", "curves", "sweep", "table"])
+def test_out_naming_an_existing_file_exits_one_before_any_run(monkeypatch, capsys, tmp_path,
+                                                               command):
+    from proxdeblur import cli, experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "run_solver", lambda *args, **kwargs: calls.append(args))
+    outfile = tmp_path / "outfile"
+    outfile.write_bytes(b"not a directory\n")
+    keys = dict(size=32, iterations=3, trials=1, images="cameraman",
+                noise_levels="0.01", K_values="3")
+    cfg = write_cfg(tmp_path / "c.cfg", **keys)
+    assert cli.main([command, "--config", cfg, "--out", str(outfile)]) == 1
+    assert f"out: {outfile} exists and is not a directory" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path / "d.cfg", out=str(outfile / "sub"), **keys)
+    assert cli.main([command, "--config", cfg]) == 1
+    assert f"out: {outfile} exists and is not a directory" in capsys.readouterr().err
+    assert calls == []
+    assert outfile.read_bytes() == b"not a directory\n"
+
+
+@pytest.mark.parametrize("dir_exists", [True, False], ids=["missing-image", "missing-dir"])
+def test_table_missing_image_exits_one_before_any_run(monkeypatch, capsys, tmp_path,
+                                                      dir_exists):
+    from proxdeblur import cli, experiments
+    from proxdeblur.pgmio import write_pgm
+
+    calls = []
+    monkeypatch.setattr(experiments, "run_solver", lambda *args, **kwargs: calls.append(args))
+    images_dir = tmp_path / "images"
+    missing = images_dir / "cameraman.pgm"
+    if dir_exists:
+        images_dir.mkdir()
+        write_pgm(str(missing), synthetic_image("cameraman", 32))
+        missing = images_dir / "lena.pgm"
+    cfg = write_cfg(tmp_path / "t.cfg", images="cameraman, lena", images_dir=str(images_dir),
+                    noise_levels="0.01", K_values="3", trials=1, out=str(tmp_path / "o"))
+    assert cli.main(["table", "--config", cfg]) == 1
+    assert f"image not found: {missing}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_config_grammar_lists_exactly_the_config_keys():

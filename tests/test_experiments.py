@@ -101,6 +101,21 @@ def test_load_image_fallback_and_explicit_dir(tmp_path):
     assert np.abs(loaded - img).max() < 1e-4
 
 
+def test_run_psnr_table_loads_every_image_before_the_first_run(monkeypatch, tmp_path):
+    from proxdeblur import experiments
+    from proxdeblur.pgmio import write_pgm
+
+    write_pgm(str(tmp_path / "real.pgm"), synthetic_image("real", 32))
+    calls = []
+    monkeypatch.setattr(experiments, "run_solver", lambda *args, **kwargs: calls.append(args))
+    scenarios = [Scenario(image_id=name, noise_sigma=0.01, K=3, trials=1, image_size=32)
+                 for name in ("real", "missing")]
+    with pytest.raises(FileNotFoundError, match="image not found: .*missing.pgm"):
+        run_psnr_table(scenarios, out_dir=str(tmp_path / "o"), images_dir=str(tmp_path))
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 def default_p(psf, shape, n):
     """The threshold scale run_solver resolves p = None to (efista, eta 1)."""
     cfg = SolverConfig(variant="efista", n=n, max_iters=0)

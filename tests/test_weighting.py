@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import densify_blur, dense_Wn
-from proxdeblur.linop import dct2, gradient, idct2, spectral_decompose
+from proxdeblur.linop import dct2, gradient, idct2, operator_spectrum, spectral_decompose
 from proxdeblur.weighting import (
     _phi_binomial_exact,
     apply_weighted_gradient_nstep,
@@ -114,6 +114,21 @@ def test_large_filter_gain_reaches_order(psf74):
     lam = operator_plan(psf74, (256, 256), 1.0, 8).lambda_max_W
     assert 7.9 < lam <= 8.0
     assert lam == pytest.approx(8.0, abs=1e-9)
+
+
+def test_the_order_one_plan_is_the_cached_spectrum(psf31, asymmetric_psf):
+    spectrum = operator_spectrum(psf31, (16, 16))
+    assert operator_plan(psf31, (16, 16), 0.5, 1) is spectrum
+    assert spectrum.phi == 1.0 and spectrum.gain is spectrum.lam
+    assert spectrum.lambda_max_W == 1.0
+    plan = operator_plan(psf31, (16, 16), 0.5, 4)
+    assert plan.lam is spectrum.lam and plan.lambda_max_AtA == spectrum.lambda_max_AtA
+    np.testing.assert_array_equal(plan.gain, plan.phi * spectrum.lam)
+    spectrum = operator_spectrum(asymmetric_psf, (8, 8))
+    assert operator_plan(asymmetric_psf, (8, 8), 0.5, 1) is spectrum
+    plan = operator_plan(asymmetric_psf, (8, 8), 0.5, 4)
+    assert (plan.lam, plan.phi, plan.gain) == (None, None, None)
+    assert plan.lambda_max_W == 4.0 and plan.lambda_max_AtA == spectrum.lambda_max_AtA
 
 
 def test_nstep_weighting_validation(psf31):
