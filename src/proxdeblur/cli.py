@@ -2,12 +2,15 @@
 sweeps and the averaged PSNR table, driven by plain-text config files.
 
 _KEYS is the one table of config keys, with each key's parser, default and
-the Scenario field it sets.  Every command builds its kernel and all its
-solver configs before it loads an image, so a bad setting exits 1 before
-any run.
+the Scenario field it sets.  Every command builds all its solver configs
+and then goes through experiments.run_settings, which builds each kernel
+and loads each image once before the first run, so a bad setting exits 1
+before any run.
 
-Exit codes: 0 success, 1 usage/config/I-O error, 2 a run diverged (artifacts
-are still written so the failure can be inspected).
+Exit codes: 0 success, 1 usage/config/I-O error, 2 when deblur or curves
+judges a run diverged (artifacts are still written so the failure can be
+inspected).  sweep reports divergence per p in its output and exits 0;
+table does not judge divergence.
 """
 
 import argparse
@@ -21,17 +24,14 @@ from .experiments import (
     CURVE_HEADER,
     STANDARD_IMAGES,
     Scenario,
-    _run_trial,
-    format_trace_rows,
-    load_image,
+    curve_rows,
     run_convergence_test,
     run_p_sweep,
     run_psnr_table,
+    run_settings,
     write_csv,
 )
-from .linop import make_gaussian_psf
 from .pgmio import write_pgm
-from .solvers import psnr, runs_diverged
 
 __all__ = ["ConfigError", "parse_config", "main",
            "cmd_deblur", "cmd_curves", "cmd_sweep", "cmd_table"]
@@ -154,26 +154,24 @@ def _scenario(cfg, image_id):
 
 
 def cmd_deblur(cfg, quiet=False):
-    """Blur, add noise, solve once (trial 0 of the scenario), write
-    blurred/deblurred PGMs + trace CSV."""
+    """Blur, add noise, solve once (trial 0 of the scenario, run as a
+    one-trial setting), write blurred/deblurred PGMs + trace CSV."""
     image_id, images_dir = _image_source(cfg)
-    scenario = _scenario(cfg, image_id)
+    scenario = dataclasses.replace(_scenario(cfg, image_id), trials=1)
     solver_cfg = scenario.solver_config(cfg["variant"], scenario.n, cfg["p"], scenario.K)
-    psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
-    truth = load_image(image_id, images_dir, scenario.image_size)
-    x, trace, b = _run_trial(truth, psf, scenario, solver_cfg, 0)
+    [(runs, curves, diverged)] = run_settings([(scenario, solver_cfg)], images_dir)
+    [(x, trace, b, final_psnr)] = runs
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    write_csv(os.path.join(out, "trace.csv"), CURVE_HEADER,
+              curve_rows(trace.config, curves, [0]))
     write_pgm(os.path.join(out, "blurred.pgm"), b)
     write_pgm(os.path.join(out, "deblurred.pgm"), x)
-    write_csv(os.path.join(out, "trace.csv"), CURVE_HEADER, format_trace_rows(trace, 0))
-    diverged = runs_diverged([trace.diverged], trace.objectives())
     if not quiet:
         final = trace.records[-1].objective if trace.records else float("nan")
         print(
             f"{trace.config.variant.value} n={trace.config.n} p={trace.config.p:g}"
             f" iters={len(trace)}"
-            f" objective={final:.6g} psnr={psnr(x, truth):.2f}dB"
+            f" objective={final:.6g} psnr={final_psnr:.2f}dB"
             f" diverged={'yes' if diverged else 'no'}"
         )
     return 2 if diverged else 0
@@ -189,8 +187,7 @@ def cmd_curves(cfg, quiet=False):
     exit_code = 0
     for variant, per_n in results.items():
         for n, data in per_n.items():
-            diverged = runs_diverged(data["diverged"], data["mean_objective"])
-            if diverged:
+            if data["diverged"]:
                 exit_code = 2
             if not quiet:
                 curve = data["mean_objective"]
@@ -198,7 +195,7 @@ def cmd_curves(cfg, quiet=False):
                 tail = curve[-1] if curve.size else float("nan")
                 print(f"{variant} n={n}: {scenario.trials} trials,"
                       f" final mean objective {tail:.6g}"
-                      f"{', DIVERGED' if diverged else ''}")
+                      f"{', DIVERGED' if data['diverged'] else ''}")
     if not quiet:
         print(f"curves written to {cfg['out']}")
     return exit_code

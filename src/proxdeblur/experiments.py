@@ -3,9 +3,10 @@ and the averaged PSNR table, with CSV emission for external plotting.
 
 All runs are deterministic per (scenario, seed): trial t of a scenario uses
 seed + t, so re-running a scenario reproduces every CSV byte for byte apart
-from the wall-clock columns.  _run_trials runs the trials of one setting in
-a thread pool and returns them in trial order; _curve_row formats every
-convergence CSV row, per trial and across-trial mean alike.
+from the wall-clock columns.  run_settings is the one runner of every
+command: it builds the inputs once, runs each setting's trials and gives
+each setting's per-iteration curves and its divergence verdict; curve_rows
+formats every convergence CSV row, per trial and across-trial mean alike.
 """
 
 import math
@@ -33,6 +34,8 @@ __all__ = [
     "add_awgn",
     "synthetic_image",
     "load_image",
+    "run_settings",
+    "curve_rows",
     "run_convergence_test",
     "run_p_sweep",
     "run_psnr_table",
@@ -180,108 +183,111 @@ class Scenario:
 
 
 def _run_trial(truth, psf, scenario, cfg, trial):
-    """(x, trace, b) of trial `trial` of cfg on scenario: b is truth blurred
-    and with the noise of seed + trial, and the run starts from it."""
+    """(x, trace, b, psnr of x) of trial `trial` of cfg on scenario: b is truth
+    blurred and with the noise of seed + trial, and the run starts from it."""
     b = add_awgn(blur_apply(psf, truth), scenario.noise_sigma, scenario.seed + trial)
     x, trace = run_solver(cfg, b, psf, x0=b, truth=truth)
-    return x, trace, b
+    return x, trace, b, psnr(x, truth)
 
 
-def _run_trials(truth, psf, scenario, cfg):
-    """(x, trace, b) of every trial of cfg on scenario, in trial order, run
-    on min(trials, cpu_count) threads."""
-    with ThreadPoolExecutor(max_workers=min(scenario.trials, os.cpu_count() or 1)) as ex:
-        return list(ex.map(partial(_run_trial, truth, psf, scenario, cfg),
-                           range(scenario.trials)))
+def _run_setting(truth, psf, scenario, cfg):
+    """(runs, curves, diverged) of one setting; see run_settings."""
+    trial = partial(_run_trial, truth, psf, scenario, cfg)
+    workers = min(scenario.trials, os.cpu_count() or 1)
+    if workers == 1:
+        runs = [trial(t) for t in range(scenario.trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            runs = list(ex.map(trial, range(scenario.trials)))
+    traces = [trace for _, trace, _, _ in runs]
+    curves = {}
+    for attr in ("objective", "psnr", "seconds"):
+        mat = curves[attr] = np.full((len(traces) + 1, cfg.max_iters), np.nan)
+        for t, trace in enumerate(traces):
+            mat[t, :len(trace)] = [getattr(rec, attr) for rec in trace.records]
+    # the filter is process-wide, so it runs only after the trial threads
+    # have joined; a column no trial reached stays NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for mat in curves.values():
+            mat[-1] = np.nanmean(mat[:-1], axis=0)
+    return runs, curves, runs_diverged([tr.diverged for tr in traces], curves["objective"][-1])
+
+
+def run_settings(settings, images_dir=None):
+    """Run a list of (scenario, cfg) settings; yield (runs, curves, diverged)
+    per setting, in order.
+
+    Each distinct kernel and (image, size) is built once, before the first
+    run.  runs: _run_trial per trial, on min(trials, cpu_count) threads (one
+    worker: the calling thread).  curves: objective, psnr and seconds as
+    (trials + 1, max_iters) arrays, row t trial t (NaN past its last record),
+    the last row the across-trial NaN mean.  diverged: runs_diverged on that
+    mean.  No runs are kept once yielded; callers drop them before the next.
+    """
+    psfs = {key: make_gaussian_psf(*key)
+            for key in dict.fromkeys((sc.psf_size, sc.psf_sigma) for sc, _ in settings)}
+    truths = {key: load_image(key[0], images_dir, key[1])
+              for key in dict.fromkeys((sc.image_id, sc.image_size) for sc, _ in settings)}
+    for sc, cfg in settings:
+        yield _run_setting(truths[sc.image_id, sc.image_size],
+                           psfs[sc.psf_size, sc.psf_sigma], sc, cfg)
 
 
 def _g17(v):
     return format(float(v), ".17g")
 
 
-def _curve_row(k, cfg, trial, objective, psnr, seconds):
-    """One convergence CSV row; a psnr of None or NaN prints blank."""
-    ps = "" if psnr is None or math.isnan(psnr) else _g17(psnr)
-    return (f"{k},{cfg.variant.value},{cfg.n},{_g17(cfg.p)},{trial},"
-            f"{_g17(objective)},{ps},{_g17(seconds)}")
-
-
-def format_trace_rows(trace, trial):
-    """CSV rows (no header) for one trace, per the convergence schema, with
-    variant, n and p from the trace's resolved config."""
-    return [_curve_row(rec.iter, trace.config, trial, rec.objective, rec.psnr, rec.seconds)
-            for rec in trace.records]
+def curve_rows(cfg, curves, labels):
+    """Convergence CSV rows (no header): row r of the curves arrays under
+    trial label labels[r], one row per iteration with a record; variant, n
+    and p come from the resolved cfg, and a NaN psnr prints blank."""
+    head = f"{cfg.variant.value},{cfg.n},{_g17(cfg.p)}"
+    obj, psn, sec = curves["objective"], curves["psnr"], curves["seconds"]
+    return [f"{k + 1},{head},{label},{_g17(obj[r, k])},"
+            f"{'' if math.isnan(psn[r, k]) else _g17(psn[r, k])},{_g17(sec[r, k])}"
+            for r, label in enumerate(labels) for k in range(obj.shape[1])
+            if not math.isnan(obj[r, k])]
 
 
 def write_csv(path, header, rows):
+    """Write header and rows to path, making its directory if missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         for row in rows:
             f.write(row + "\n")
 
 
-def _trace_matrix(traces, iters, attr):
-    out = np.full((len(traces), iters), np.nan)
-    for t, trace in enumerate(traces):
-        for rec in trace.records:
-            val = getattr(rec, attr)
-            if val is not None:
-                out[t, rec.iter - 1] = val
-    return out
-
-
-def _nanmean_rows(mat):
-    """Column means ignoring NaN; columns with no data stay NaN, no warnings."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return np.nanmean(mat, axis=0)
-
-
 def run_convergence_test(scenario, variants, n_values, out_dir=None, images_dir=None):
     """Objective/PSNR traces per variant, per order n, per trial.
 
     Returns {variant: {n: {"objective", "psnr", "mean_objective", "diverged"}}}
-    with (trials, K) arrays (NaN beyond a diverged trial's last iteration).
-    With out_dir set, one CSV per variant is written containing every trial
-    plus across-trial mean rows (trial column "mean").  Divergence is
-    recorded in-band; the run always completes.
+    with (trials, K) arrays (NaN beyond a diverged trial's last iteration)
+    and the setting's divergence verdict.  With out_dir set, one CSV per
+    variant is written containing every trial plus across-trial mean rows
+    (trial column "mean").  Divergence is recorded in-band; the run always
+    completes.
     """
-    # per variant, one config per distinct order SolverConfig resolves n_values to
-    configs = {}
-    for variant in map(Variant, variants):
-        cfgs = [scenario.solver_config(variant, n, None, scenario.K) for n in n_values]
-        configs[variant] = {cfg.n: cfg for cfg in cfgs}
-    psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
-    truth = load_image(scenario.image_id, images_dir, scenario.image_size)
-    results = {}
-    for variant, per_order in configs.items():
-        per_n = {}
-        rows = []
-        for n, cfg in per_order.items():
-            traces = [trace for _, trace, _ in _run_trials(truth, psf, scenario, cfg)]
-            obj = _trace_matrix(traces, scenario.K, "objective")
-            psn = _trace_matrix(traces, scenario.K, "psnr")
-            mean_obj = _nanmean_rows(obj)
-            mean_psn = _nanmean_rows(psn)
-            mean_sec = _nanmean_rows(_trace_matrix(traces, scenario.K, "seconds"))
-            per_n[n] = {
-                "objective": obj,
-                "psnr": psn,
-                "mean_objective": mean_obj,
-                "diverged": [tr.diverged for tr in traces],
-            }
-            for t, trace in enumerate(traces):
-                rows.extend(format_trace_rows(trace, t))
-            rows.extend(_curve_row(k + 1, traces[0].config, "mean", mean_obj[k],
-                                   mean_psn[k], mean_sec[k])
-                        for k in range(scenario.K) if not np.isnan(mean_obj[k]))
-        results[variant.value] = per_n
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            name = (f"curves_{scenario.image_id}_sigma{scenario.noise_sigma:g}"
-                    f"_{variant.value}.csv")
-            write_csv(os.path.join(out_dir, name), CURVE_HEADER, rows)
-    return results
+    # one config per distinct (variant, order) SolverConfig resolves them to
+    configs = {(cfg.variant.value, cfg.n): cfg for cfg in (
+        scenario.solver_config(v, n, None, scenario.K) for v in variants for n in n_values)}
+    results = run_settings([(scenario, cfg) for cfg in configs.values()], images_dir)
+    labels = [*range(scenario.trials), "mean"]
+    out, rows = {}, {}
+    for variant, n in configs:
+        runs, curves, diverged = next(results)
+        resolved = runs[0][1].config
+        del runs  # no setting's iterates outlive it
+        out.setdefault(variant, {})[n] = {
+            "objective": curves["objective"][:-1], "psnr": curves["psnr"][:-1],
+            "mean_objective": curves["objective"][-1], "diverged": diverged}
+        rows.setdefault(variant, []).extend(curve_rows(resolved, curves, labels))
+    if out_dir is not None:
+        for variant, variant_rows in rows.items():
+            name = f"curves_{scenario.image_id}_sigma{scenario.noise_sigma:g}_{variant}.csv"
+            write_csv(os.path.join(out_dir, name), CURVE_HEADER, variant_rows)
+    return out
 
 
 @dataclass
@@ -329,17 +335,13 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None, images_dir=None
             f"probe_iter must be in [1, K={scenario.K}], got {probe_iter}")
     configs = [scenario.solver_config(Variant.EFISTA, n, float(p), scenario.K)
                for p in p_values]
-    psf = make_gaussian_psf(scenario.psf_size, scenario.psf_sigma)
-    truth = load_image(scenario.image_id, images_dir, scenario.image_size)
+    results = run_settings([(scenario, cfg) for cfg in configs], images_dir)
     result = PSweepResult(image_id=scenario.image_id, n=n, probe_iter=probe_iter)
     for cfg in configs:
-        traces = [trace for _, trace, _ in _run_trials(truth, psf, scenario, cfg)]
-        mean_obj = _nanmean_rows(_trace_matrix(traces, scenario.K, "objective"))
-        diverged = runs_diverged([tr.diverged for tr in traces], mean_obj)
-        fprobe = float(mean_obj[probe_iter - 1])
+        curves, diverged = next(results)[1:]  # no setting's iterates outlive it
+        fprobe = float(curves["objective"][-1, probe_iter - 1])
         result.points.append(PSweepPoint(p=cfg.p, objective=fprobe, diverged=diverged))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         name = f"psweep_{scenario.image_id}_n{n}.csv"
         rows = [f"{_g17(pt.p)},{_g17(pt.objective)}" for pt in result.points]
         write_csv(os.path.join(out_dir, name), "p,objective", rows)
@@ -380,36 +382,32 @@ class ResultTable:
 
 def run_psnr_table(scenarios, out_dir=None, images_dir=None):
     """Averaged final PSNR per algorithm: the baseline at K iterations, the
-    weighted variants at K // iter_divisor.  Every setting is checked, then
-    each distinct (image, size) is loaded once, before the first run.
+    weighted variants at K // iter_divisor.  Every setting is checked before
+    run_settings builds the inputs and runs the first trial.
 
     Returns a ResultTable; with out_dir set also writes table.csv and the
     rendered table.txt.
     """
-    configs = []
+    settings = []
     for sc in scenarios:
         kw = max(sc.K // sc.iter_divisor, 1) if sc.K > 0 else 0
         algs = [("FISTA", Variant.FISTA, sc.K), ("IFISTA", Variant.IFISTA, kw),
                 ("EFISTA", Variant.EFISTA, kw)]
-        configs.append((make_gaussian_psf(sc.psf_size, sc.psf_sigma),
-                        [(name, sc.solver_config(variant, sc.n, None, iters))
-                         for name, variant, iters in algs]))
-    truths = {key: load_image(key[0], images_dir, key[1])
-              for key in dict.fromkeys((sc.image_id, sc.image_size) for sc in scenarios)}
+        settings += [(sc, name, sc.solver_config(variant, sc.n, None, iters))
+                     for name, variant, iters in algs]
+    results = run_settings([(sc, cfg) for sc, _, cfg in settings], images_dir)
     table = ResultTable()
-    for sc, (psf, algs) in zip(scenarios, configs):
-        truth = truths[sc.image_id, sc.image_size]
-        for name, cfg in algs:
-            runs = _run_trials(truth, psf, sc, cfg)
-            psnrs = np.array([psnr(x, truth) for x, _, _ in runs])
-            secs = np.array([sum(rec.seconds for rec in tr.records) for _, tr, _ in runs])
-            table.rows.append(TableRow(
-                image_id=sc.image_id, sigma=sc.noise_sigma, algorithm=name,
-                iters=cfg.max_iters, psnr_mean=float(psnrs.mean()),
-                psnr_std=float(psnrs.std()), secs_mean=float(secs.mean()),
-            ))
+    for sc, name, cfg in settings:
+        runs, curves, _ = next(results)
+        psnrs = np.array([final for *_, final in runs])
+        del runs  # no setting's iterates outlive it
+        secs = np.nansum(curves["seconds"][:-1], axis=1)
+        table.rows.append(TableRow(
+            image_id=sc.image_id, sigma=sc.noise_sigma, algorithm=name,
+            iters=cfg.max_iters, psnr_mean=float(psnrs.mean()),
+            psnr_std=float(psnrs.std()), secs_mean=float(secs.mean()),
+        ))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         rows = [
             f"{r.image_id},{_g17(r.sigma)},{r.algorithm},{r.iters},"
             f"{_g17(r.psnr_mean)},{_g17(r.psnr_std)},{_g17(r.secs_mean)}"

@@ -5,13 +5,20 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy
 
 import proxdeblur
-from make_golden import SCENARIO_PATH, run_scenario, scenario_mismatch, scenario_record
+from make_golden import (
+    SCENARIO_PATH,
+    SCENARIOS,
+    run_scenario,
+    scenario_mismatch,
+    scenario_record,
+)
 from proxdeblur.experiments import psnr, synthetic_image
 from proxdeblur.pgmio import read_pgm
 
@@ -294,8 +301,7 @@ def test_every_setting_is_checked_before_the_first_trial(monkeypatch, capsys, tm
     def no_image(*args, **kwargs):
         raise AssertionError("image loaded before every setting was checked")
 
-    monkeypatch.setattr(experiments, "load_image", no_image)
-    monkeypatch.setattr(cli, "load_image", no_image)
+    monkeypatch.setattr(experiments, "load_image", no_image)  # every command loads through it
     cfg = write_cfg(tmp_path / "c.cfg", image="synthetic:lena", size=32, noise_sigma=0.01,
                     iterations=3, trials=1, out=str(tmp_path / "o"), **keys)
     assert cli.main([command, "--config", cfg]) == 1
@@ -328,8 +334,7 @@ def test_negative_seed_exits_one_before_any_run(monkeypatch, capsys, tmp_path, c
     def no_call(*args, **kwargs):
         raise AssertionError("an image was loaded or a run started with a negative seed")
 
-    for module in (cli, experiments):
-        monkeypatch.setattr(module, "load_image", no_call)
+    monkeypatch.setattr(experiments, "load_image", no_call)  # every command loads through it
     monkeypatch.setattr(experiments, "run_solver", no_call)  # deblur runs it too
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path / "c.cfg", size=32, iterations=3, trials=1, seed=-1, out=str(out))
@@ -387,6 +392,57 @@ def test_table_missing_image_exits_one_before_any_run(monkeypatch, capsys, tmp_p
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,trials,calls", [("deblur", 10, 1), ("curves", 2, 2)])
+def test_one_worker_runs_the_trials_in_the_calling_thread(monkeypatch, tmp_path, command,
+                                                          trials, calls):
+    from proxdeblur import cli, experiments
+
+    real_run_solver = experiments.run_solver
+    threads = []
+
+    def run_solver(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_solver", run_solver)
+    if command == "curves":  # deblur runs one trial whatever the cpu count
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    cfg = write_cfg(tmp_path / "c.cfg", size=32, iterations=2, trials=trials,
+                    variants="fista", out=str(tmp_path / "o"))
+    assert cli.main([command, "--config", cfg, "--quiet"]) == 0
+    assert threads == [threading.current_thread()] * calls
+
+
+@pytest.mark.parametrize("command", ["deblur", "curves", "sweep", "table"])
+def test_every_command_builds_its_inputs_once_before_the_first_run(monkeypatch, tmp_path,
+                                                                   command):
+    from proxdeblur import cli, experiments
+
+    calls = []
+
+    def recorder(fn, key):
+        def record(*args, **kwargs):
+            calls.append(key(*args))
+            return fn(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(experiments, "load_image", recorder(
+        experiments.load_image, lambda image_id, images_dir, size: ("image", image_id, size)))
+    monkeypatch.setattr(experiments, "make_gaussian_psf", recorder(
+        experiments.make_gaussian_psf, lambda size, sigma: ("kernel", size, sigma)))
+    monkeypatch.setattr(experiments, "run_solver", recorder(
+        experiments.run_solver, lambda *args: ("run",)))
+    cfg = write_cfg(tmp_path / "c.cfg", image="synthetic:lena", size=32, iterations=3,
+                    trials=2, variants="fista, efista", n_values="2, 8", p_values="1, 2",
+                    probe_iter=2, images="cameraman, lena", noise_levels="0.01, 0.001",
+                    K_values="3, 3", out=str(tmp_path / "o"))
+    assert cli.main([command, "--config", cfg, "--quiet"]) in (0, 2)
+    inputs = calls[:calls.index(("run",))]
+    assert set(calls[len(inputs):]) == {("run",)}  # nothing is built after the first run
+    images = [("image", "cameraman", 32)] if command == "table" else []
+    assert sorted(inputs) == sorted(images + [("image", "lena", 32), ("kernel", 7, 4.0)])
+
+
 def test_readme_config_grammar_lists_exactly_the_config_keys():
     from proxdeblur import cli
 
@@ -408,13 +464,17 @@ def test_empty_config_gives_the_scenario_defaults(tmp_path):
         "x", noise_sigma=0.01, K=50)
 
 
-@pytest.mark.parametrize("name,code,artifacts", [
-    ("deblur_demo", 0, ["blurred.pgm", "deblurred.pgm", "trace.csv"]),
-    ("curves_cameraman", 2,
-     [f"curves_cameraman_sigma0.01_{v}.csv" for v in ("efista", "fista", "ifista")]),
-    ("psweep_cameraman", 0, ["psweep_cameraman_n8.csv"]),
-    ("psnr_table", 0, ["table.csv", "table.txt"]),
-], ids=["deblur_demo", "curves_cameraman", "psweep_cameraman", "psnr_table"])
+def _golden_case(name):
+    """(name, exit code, sorted output files) of a scenario's golden; a
+    scenario without one gets no exit code and fails its own case."""
+    want = SCENARIO_GOLDEN["scenarios"].get(name, {"exit_code": None, "files": {}})
+    return name, want["exit_code"], sorted(want["files"])
+
+
+# one case per scenario make_golden runs; test_golden.py checks that these
+# are exactly the committed scenarios/*.cfg and the golden's scenarios
+@pytest.mark.parametrize("name,code,artifacts", [_golden_case(name) for name in SCENARIOS],
+                         ids=list(SCENARIOS))
 def test_committed_scenarios_run_at_a_small_size(tmp_path, name, code, artifacts):
     # every output byte apart from the timings is compared against
     # tests/golden/scenarios.json (written by tests/make_golden.py)

@@ -166,7 +166,7 @@ def test_convergence_structure_and_csv(small_scenario, tmp_path):
     d = res["efista"][8]
     assert d["objective"].shape == (2, 5)
     assert np.isfinite(d["mean_objective"]).all()
-    assert d["diverged"] == [False, False]
+    assert d["diverged"] is False
 
     fcsv = os.path.join(out, "curves_cameraman_sigma0.01_fista.csv")
     with open(fcsv) as f:
