@@ -167,7 +167,7 @@ def cmd_deblur(cfg, quiet=False):
     write_pgm(os.path.join(out, "blurred.pgm"), b)
     write_pgm(os.path.join(out, "deblurred.pgm"), x)
     if not quiet:
-        final = trace.records[-1].objective if trace.records else float("nan")
+        final = trace.records.objective[-1] if len(trace) else float("nan")
         print(
             f"{trace.config.variant.value} n={trace.config.n} p={trace.config.p:g}"
             f" iters={len(trace)}"

@@ -21,6 +21,8 @@ import numpy as np
 from .linop import blur_apply, idct2, make_gaussian_psf
 from .pgmio import read_pgm
 from .solvers import SolverConfig, Variant, psnr, run_solver, runs_diverged
+from .wavelet import wavelet_depth
+from .weighting import operator_plan
 
 __all__ = [
     "STANDARD_IMAGES",
@@ -204,7 +206,7 @@ def _run_setting(truth, psf, scenario, cfg):
     for attr in ("objective", "psnr", "seconds"):
         mat = curves[attr] = np.full((len(traces) + 1, cfg.max_iters), np.nan)
         for t, trace in enumerate(traces):
-            mat[t, :len(trace)] = [getattr(rec, attr) for rec in trace.records]
+            mat[t, :len(trace)] = trace.records[attr]
     # the filter is process-wide, so it runs only after the trial threads
     # have joined; a column no trial reached stays NaN
     with warnings.catch_warnings():
@@ -218,17 +220,29 @@ def run_settings(settings, images_dir=None):
     """Run a list of (scenario, cfg) settings; yield (runs, curves, diverged)
     per setting, in order.
 
-    Each distinct kernel and (image, size) is built once, before the first
-    run.  runs: _run_trial per trial, on min(trials, cpu_count) threads (one
-    worker: the calling thread).  curves: objective, psnr and seconds as
-    (trials + 1, max_iters) arrays, row t trial t (NaN past its last record),
-    the last row the across-trial NaN mean.  diverged: runs_diverged on that
-    mean.  No runs are kept once yielded; callers drop them before the next.
+    Each distinct kernel and (image, size) is built once, and each
+    setting's image is checked against its kernel, wavelet depth and step
+    size (by the cached n = 1 operator plan), before the first run; a
+    ValueError names the image.  runs: _run_trial per trial, on
+    min(trials, cpu_count) threads (one worker: the calling thread).
+    curves: objective, psnr and seconds as (trials + 1, max_iters) arrays,
+    row t trial t (NaN past its last record), the last row the across-trial
+    NaN mean.  diverged: runs_diverged on that mean.  No runs are kept once
+    yielded; callers drop them before the next.
     """
     psfs = {key: make_gaussian_psf(*key)
             for key in dict.fromkeys((sc.psf_size, sc.psf_sigma) for sc, _ in settings)}
     truths = {key: load_image(key[0], images_dir, key[1])
               for key in dict.fromkeys((sc.image_id, sc.image_size) for sc, _ in settings)}
+    for sc, cfg in settings:
+        shape = truths[sc.image_id, sc.image_size].shape
+        try:
+            # the n = 1 plan checks the kernel fit and the eta bound, and
+            # it is cached per (kernel, shape), not per order
+            operator_plan(psfs[sc.psf_size, sc.psf_sigma], shape, cfg.eta, 1)
+            wavelet_depth(shape)
+        except ValueError as exc:
+            raise ValueError(f"image {sc.image_id}: {exc}") from None
     for sc, cfg in settings:
         yield _run_setting(truths[sc.image_id, sc.image_size],
                            psfs[sc.psf_size, sc.psf_sigma], sc, cfg)

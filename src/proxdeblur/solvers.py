@@ -18,14 +18,15 @@ follows from it by the linearity of the momentum, and the data term is
 n-step recursion.
 
 A run stops after max_iters steps, or early when the objective goes
-non-finite or grows past DIVERGENCE_FACTOR times its initial value.
+non-finite or grows past DIVERGENCE_FACTOR times its initial value.  Its
+trace is one numpy record array with a row per recorded step.
 """
 
 import dataclasses
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,7 +40,7 @@ __all__ = [
     "Variant",
     "SolverConfig",
     "SolverState",
-    "IterationRecord",
+    "TRACE_DTYPE",
     "IterationTrace",
     "Problem",
     "psnr",
@@ -53,6 +54,10 @@ __all__ = [
 # A run whose objective exceeds this multiple of its initial value is
 # stopped and flagged as diverged.
 DIVERGENCE_FACTOR = 1e6
+
+# one row of IterationTrace.records
+TRACE_DTYPE = np.dtype([("iter", np.int64), ("objective", float), ("data_term", float),
+                        ("regularizer", float), ("psnr", float), ("seconds", float)])
 
 
 class Variant(str, Enum):
@@ -142,15 +147,14 @@ class SolverState:
     """Iterate bundle, updated in place by efista_step.
 
     x and the momentum point y, their DCTs cx and cy on the DCT path (None
-    otherwise), alpha, the iteration count, and l1, the detail-band l1 of
-    the wavelet coefficients the last prox produced x from (at iteration 0,
-    those of x0 itself when lambda > 0; run_solver sets it).
+    otherwise), alpha, and l1, the detail-band l1 of the wavelet
+    coefficients the last prox produced x from (at the start, those of x0
+    itself when lambda > 0; run_solver sets it).
     """
 
     x: np.ndarray
     y: np.ndarray
     alpha: float
-    iter: int
     cx: np.ndarray | None = None
     cy: np.ndarray | None = None
     l1: float = 0.0
@@ -160,31 +164,26 @@ class SolverState:
         """State at iteration 0 from x0 (kept, not copied; y is a copy)."""
         x0 = np.asarray(x0, dtype=float)
         cx = dct2(x0) if problem.cb is not None else None
-        return cls(x=x0, y=x0.copy(), alpha=1.0, iter=0,
-                   cx=cx, cy=None if cx is None else cx.copy())
-
-
-@dataclass
-class IterationRecord:
-    iter: int
-    objective: float
-    data_term: float
-    regularizer: float
-    psnr: float | None
-    seconds: float
+        return cls(x=x0, y=x0.copy(), alpha=1.0, cx=cx, cy=None if cx is None else cx.copy())
 
 
 @dataclass
 class IterationTrace:
-    """Per-iteration records, a divergence tag for runs that blew up, and
-    the run's config with every default resolved (p and wavelet_levels)."""
+    """The run's records, a divergence tag for runs that blew up, and the
+    run's config with every default resolved (p and wavelet_levels).
 
-    records: list = field(default_factory=list)
+    records is a numpy record array of TRACE_DTYPE, one row per recorded
+    step: iter (1 for the first step), objective = data_term + regularizer
+    after it, psnr against truth (NaN without one) and the step's seconds.
+    records[-1].objective reads a row, records.objective a column.
+    """
+
+    records: np.recarray
     diverged: bool = False
     config: SolverConfig | None = None
 
     def objectives(self):
-        return np.array([r.objective for r in self.records])
+        return np.array(self.records.objective)
 
     def __len__(self):
         return len(self.records)
@@ -263,7 +262,6 @@ def efista_step(state, cfg, problem):
         if cx_new is not None:
             momentum_extrapolate(cx_new, state.cx, state.alpha, alpha_new, out=state.cy)
     state.x, state.cx, state.alpha = x_new, cx_new, alpha_new
-    state.iter += 1
     return state
 
 
@@ -287,8 +285,8 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     is none) and trace.config the config with p and wavelet_levels
     resolved.  A run whose objective explodes past DIVERGENCE_FACTOR times
     its initial value, or goes non-finite, stops early with trace.diverged
-    set rather than raising; a non-finite iterate is not recorded.  Each
-    record carries the PSNR against truth when truth is given.
+    set rather than raising; a non-finite iterate is not recorded.  The
+    psnr field holds the PSNR against truth, or NaN when truth is None.
 
     Raises
     ------
@@ -312,7 +310,7 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     problem = Problem.build(cfg, b, psf)
     cfg = _resolve_p(cfg, problem.plan)
 
-    trace = IterationTrace(config=cfg)
+    trace = IterationTrace(np.recarray(cfg.max_iters, dtype=TRACE_DTYPE), config=cfg)
     if cfg.max_iters == 0:
         return x0, trace
 
@@ -322,25 +320,22 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         state.l1 = problem.workspace.detail_l1()
     # F(x0), by the expression of every step below
     f0 = _data_term(state, problem) + cfg.lam * state.l1
-    for _ in range(cfg.max_iters):
-        x_prev = state.x  # the step rebinds state.x, never writes into it
+    x, rows = x0, 0
+    while rows < cfg.max_iters and not trace.diverged:
         t0 = time.perf_counter()
         state = efista_step(state, cfg, problem)
         dt = time.perf_counter() - t0
         data = _data_term(state, problem)
         reg = cfg.lam * state.l1
         fval = data + reg
-        if not math.isfinite(fval):
-            trace.diverged = True
-            return x_prev, trace
-        trace.records.append(IterationRecord(
-            iter=state.iter, objective=fval, data_term=data, regularizer=reg,
-            psnr=None if truth is None else psnr(state.x, truth), seconds=dt,
-        ))
-        if f0 > 0 and fval > DIVERGENCE_FACTOR * f0:
-            trace.diverged = True
-            break
-    return state.x, trace
+        if math.isfinite(fval):
+            x = state.x  # the step rebinds state.x, never writes into it
+            trace.records[rows] = (rows + 1, fval, data, reg,
+                                   math.nan if truth is None else psnr(x, truth), dt)
+            rows += 1
+        trace.diverged = not math.isfinite(fval) or (f0 > 0 and fval > DIVERGENCE_FACTOR * f0)
+    trace.records = trace.records[:rows]
+    return x, trace
 
 
 def runs_diverged(hard_flags, mean_objective):

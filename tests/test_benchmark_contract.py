@@ -1,0 +1,36 @@
+"""What the benchmark in perfbench/ reads from the program.
+
+Each workload is built and run for one round in this process by the
+benchmark's own worker code, which imports proxdeblur from src/, and its
+outputs are checked by the benchmark's own checks.  A renamed function,
+field or option that the worker relies on fails here rather than as a
+failed benchmark run.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))  # the benchmark imports its modules by bare name
+
+import run  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_one_round_of_each_workload_succeeds_and_passes_its_checks(tmp_path, name):
+    seed = 0
+    args = argparse.Namespace(workload=name, seed=seed, dir=str(tmp_path), seconds=0, trace=0)
+    worker.run(args)  # at least one round, whatever the seconds
+    res = json.loads((tmp_path / "result.json").read_text())
+    assert res["attempted"] > 0 and res["failed"] == 0
+    assert all(res["last_ok"])
+    psnr_db, errors = run.CHECKS[name](seed, res["outputs"], res["last_ok"])
+    assert errors == []
+    assert psnr_db > 0
+    worker.setup(args)  # the max_iters = 0 call that setup_s times

@@ -392,6 +392,35 @@ def test_table_missing_image_exits_one_before_any_run(monkeypatch, capsys, tmp_p
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name,shape,message", [
+    ("b", (17, 23), "image b: image dims (17, 23) do not admit a wavelet level"),
+    ("c", (5, 6), "image c: kernel size 7 exceeds image dims 6x5"),
+], ids=["no-wavelet-level", "kernel-too-large"])
+def test_table_bad_second_image_exits_one_before_any_run(monkeypatch, capsys, tmp_path,
+                                                         name, shape, message):
+    from proxdeblur import cli, experiments
+    from proxdeblur.pgmio import write_pgm
+
+    real_run_solver, calls = experiments.run_solver, []
+
+    def run_solver(*args, **kwargs):
+        calls.append(args)
+        return real_run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_solver", run_solver)
+    images_dir = tmp_path / "images"
+    images_dir.mkdir()
+    write_pgm(str(images_dir / "a.pgm"), synthetic_image("cameraman", 64))
+    write_pgm(str(images_dir / f"{name}.pgm"), synthetic_image("lena", 32)[:shape[0], :shape[1]])
+    cfg = write_cfg(tmp_path / "t.cfg", images=f"a, {name}", images_dir=str(images_dir),
+                    noise_levels="0.01, 0.001", K_values="3, 3", trials=2,
+                    out=str(tmp_path / "o"))
+    assert cli.main(["table", "--config", cfg, "--quiet"]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,trials,calls", [("deblur", 10, 1), ("curves", 2, 2)])
 def test_one_worker_runs_the_trials_in_the_calling_thread(monkeypatch, tmp_path, command,
                                                           trials, calls):

@@ -384,9 +384,25 @@ def test_psnr_recording(tiny_problem, rng):
     truth = rng.uniform(0, 1, b.shape)
     cfg = SolverConfig(variant="fista", lam=1e-3, max_iters=3, wavelet_levels=2)
     _, trace = run_solver(cfg, b, psf, truth=truth)
-    assert all(r.psnr is not None for r in trace.records)
+    assert len(trace) == 3 and np.all(np.isfinite(trace.records.psnr))
     _, trace2 = run_solver(cfg, b, psf)
-    assert all(r.psnr is None for r in trace2.records)
+    assert len(trace2) == 3 and np.all(np.isnan(trace2.records.psnr))
+
+
+def test_trace_is_one_record_array_of_the_six_fields(tiny_problem):
+    psf, b = tiny_problem
+    cfg = SolverConfig(variant="efista", lam=1e-3, n=4, max_iters=5, wavelet_levels=2)
+    _, trace = run_solver(cfg, b, psf)
+    rec = trace.records
+    assert isinstance(rec, np.recarray) and len(trace) == 5
+    assert rec.dtype.names == ("iter", "objective", "data_term", "regularizer", "psnr",
+                               "seconds")
+    assert rec.iter.tolist() == [1, 2, 3, 4, 5]
+    assert np.array_equal(rec.objective, rec.data_term + rec.regularizer)
+    assert rec[-1].data_term == rec.data_term[-1] == rec["data_term"][-1]
+    f = trace.objectives()
+    f[:] = 0.0  # a copy: the trace keeps its objectives
+    assert np.all(rec.objective > 0)
 
 
 def test_wnorm_matches_dense_inverse(rng, psf31):
@@ -454,7 +470,7 @@ def test_surrogate_classic_form_at_order_one(rng, psf31):
 
 
 def test_rate_check_flags_and_passes(rng, psf31):
-    from proxdeblur.solvers import IterationRecord, IterationTrace
+    from proxdeblur.solvers import TRACE_DTYPE, IterationTrace
 
     eta = 1.0
     plan = operator_plan(psf31, (8, 8), eta, 2)
@@ -468,18 +484,20 @@ def test_rate_check_flags_and_passes(rng, psf31):
     numer = (2 / eta) * wnorm_sq(x0 - x_star, plan)
 
     def rec(k, fval):
-        return IterationRecord(iter=k, objective=fval, data_term=fval,
-                               regularizer=0.0, psnr=None, seconds=0.0)
+        return (k, fval, fval, 0.0, np.nan, 0.0)
 
-    good = IterationTrace(records=[
-        rec(k, f_star + 0.5 * numer / (k + 1) ** 2) for k in range(1, 30)])
+    def trace_of(rows):
+        return IterationTrace(records=np.rec.array(rows, dtype=TRACE_DTYPE))
+
+    good_records = [rec(k, f_star + 0.5 * numer / (k + 1) ** 2) for k in range(1, 30)]
+    good = trace_of(good_records)
     report = rate_check(good, x0, x_star, plan, problem, cfg)
     assert report.passed and report.violations == 0
     assert report.max_ratio == pytest.approx(0.5, rel=1e-9)
 
-    bad_records = list(good.records)
+    bad_records = list(good_records)
     bad_records[10] = rec(11, f_star + 2.0 * numer / 12**2)
-    bad = IterationTrace(records=bad_records)
+    bad = trace_of(bad_records)
     report = rate_check(bad, x0, x_star, plan, problem, cfg)
     assert not report.passed
     assert report.violations == 1
