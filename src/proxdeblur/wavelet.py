@@ -15,13 +15,14 @@ checks the shape and depth once, when it is built, and holds the buffers
 the lifting runs in.  A solver calls the prox once per iteration, and a
 call that built its own dozens of image-sized temporaries paid more in
 fresh-page faults than in arithmetic; with a workspace the only new array
-per call is the returned image.  Each level lifts its rows in one buffer
-and its columns in another, each pass on two contiguous half-bands with a
-spare row between them for the extrapolated end sample, so a predict or
-update step is five whole-band numpy calls; the views of each level are
-built once per workspace.  The pyramid-layout coefficient array hands each
-level's approximation band on to the next.  Each solver run makes one
-workspace and passes it to every prox_l1_wavelet call.
+per call is the returned image.  Each level lifts its rows where they
+lie, then its columns, each pass in a buffer laid out so that the next
+sample along the lifting axis is one fixed flat shift away, so a predict
+or update step is five numpy calls on flat slices and no copy transposes;
+the views of each level are built once per workspace.  The pyramid-layout
+coefficient array hands each level's approximation band on to the next.
+Each solver run makes one workspace and passes it to every
+prox_l1_wavelet call.
 """
 
 import numpy as np
@@ -68,35 +69,47 @@ def wavelet_depth(shape):
 
 
 class _HalfBands:
-    """Views for lifting two m x n half-bands along axis 0 in one buffer.
+    """Flat views for lifting two half-bands along one axis of a buffer.
 
-    The buffer holds s (rows 0..m-1), a spare row m and d (rows m+1..2m),
-    plus one unused row that lets `bands` be a plain reshape.  The spare
-    row carries the extrapolated end sample of the band the step reads,
-    so every pair sum is one np.add over m rows: s[i] + s[i+1] with
-    s[m] = 2 s[m-1] - s[m-2] (predict), d[i-1] + d[i] with
-    d[-1] = 2 d[0] - d[1] (update); a 1-sample band repeats its sample.
-    Pair sums go to `p`, a scratch block shared by all passes.
+    `shape` is one plane's: a half-band plus a spare line along `axis`.  A
+    step along `axis` is a flat shift of k elements (1 along a row, a row
+    down a column).  The s plane starts the buffer, spare line last; the d
+    plane, spare line first, starts k elements before s ends, sharing those
+    k slots.  Each pair sum is then one np.add over two flat slices k
+    apart: s[i] + s[i+1] with the spare s[m] = 2 s[m-1] - s[m-2]
+    (predict), d[i-1] + d[i] with the spare d[-1] = 2 d[0] - d[1]
+    (update); a 1-sample band repeats its sample.  Along a row the slices
+    also cross from one row into the next, and those sums land in spares
+    of the other band, scratch that the next fill of the spares
+    overwrites.  `bands` is (2, rows, columns) without the spares, and
+    `halves` its two bands; the buffer holds two whole planes, k slots
+    more than the views use, so that `bands` is a plain reshape.  Pair
+    sums go to `p`, a scratch block shared by all passes.
     """
 
-    __slots__ = ("bands", "s", "d", "spare", "s_next", "d_prev", "s_end", "d_start", "p")
+    __slots__ = ("bands", "halves", "s", "d", "s_next", "d_prev", "s_end", "d_start", "p")
 
-    def __init__(self, buf, m, n, pairs):
-        rows = buf[:(2 * m + 2) * n].reshape(2 * m + 2, n)
-        self.bands = rows.reshape(2, m + 1, n)[:, :m]
-        self.s, self.d = self.bands
-        self.spare = rows[m]
-        self.s_next = rows[1:m + 1]
-        self.d_prev = rows[m:2 * m]
-        self.s_end = (rows[m - 1], rows[m - 2] if m > 1 else None)
-        self.d_start = (rows[m + 1], rows[m + 2] if m > 1 else None)
-        self.p = pairs[:m * n].reshape(m, n)
+    def __init__(self, buf, shape, axis, pairs):
+        size = shape[0] * shape[1]
+        k = shape[1] if axis == 0 else 1
+        n = size - k
+        self.s, self.s_next = buf[:n], buf[k:n + k]
+        self.d_prev, self.d = buf[n:2 * n], buf[n + k:2 * n + k]
+        self.p = pairs[:n]
+        s_lines = np.moveaxis(buf[:size].reshape(shape), axis, 0)
+        d_lines = np.moveaxis(buf[n:n + size].reshape(shape), axis, 0)
+        m = len(s_lines) - 1
+        self.s_end = (s_lines[m], s_lines[m - 1], s_lines[m - 2] if m > 1 else None)
+        self.d_start = (d_lines[0], d_lines[1], d_lines[2] if m > 1 else None)
+        planes = buf[:2 * size].reshape(2, *shape)
+        self.bands = planes[:, :m] if axis == 0 else planes[:, :, :m]
+        self.halves = tuple(self.bands)
 
     def _pair_sums(self, coef, a, b, end):
-        # p = coef * (a + b), once the spare row holds the end sample
-        # extrapolated from end = (nearest, next nearest)
-        near, far = end
-        spare, p = self.spare, self.p
+        # p = coef * (a + b), once the spares hold the end samples
+        # extrapolated from end = (spare, nearest, next nearest)
+        spare, near, far = end
+        p = self.p
         if far is None:
             spare[...] = near
         else:
@@ -132,29 +145,29 @@ class _HalfBands:
 
 
 def _columns(a, hh, ww):
-    """a[:hh, :ww] as its even and odd columns, transposed: (2, ww/2, hh)."""
-    return a[:hh, :ww].reshape(hh, ww // 2, 2).transpose(2, 1, 0)
+    """a[:hh, :ww] as its even and odd columns: (2, hh, ww/2)."""
+    return a[:hh, :ww].reshape(hh, ww // 2, 2).transpose(2, 0, 1)
 
 
 class _Level:
     """The views one transform level runs on, built once per workspace."""
 
-    __slots__ = ("rows", "cols", "coeff_halves", "coeff_cols", "rows_split", "cols_split",
-                 "rows_as_cols", "cols_as_rows", "approx")
+    __slots__ = ("rows", "cols", "coeff_halves", "coeff_cols", "coeff_col_bands", "row_pairs",
+                 "col_pairs", "approx")
 
     def __init__(self, ws, l):
         hh, ww = ws.shape[0] >> l, ws.shape[1] >> l
         mh, mw = hh // 2, ww // 2
-        self.rows = _HalfBands(ws._block, mw, hh, ws._pairs)
-        self.cols = _HalfBands(ws._vbuf, mh, ww, ws._pairs)
+        self.rows = _HalfBands(ws._hbuf, (hh, mw + 1), 1, ws._pairs)
+        self.cols = _HalfBands(ws._vbuf, (mh + 1, ww), 0, ws._pairs)
         self.coeff_halves = ws.coeffs[:hh, :ww].reshape(2, mh, ww)
         self.coeff_cols = _columns(ws.coeffs, hh, ww)
-        # rows_split[a, j, i, k] is row 2i + k of column j of the horizontal
-        # half-band a; cols_split[k, i, a, j] is the same sample
-        self.rows_split = self.rows.bands.reshape(2, mw, mh, 2)
-        self.cols_split = self.cols.bands.reshape(2, mh, 2, mw)
-        self.rows_as_cols = self.rows_split.transpose(3, 2, 0, 1)
-        self.cols_as_rows = self.cols_split.transpose(2, 3, 1, 0)
+        self.coeff_col_bands = tuple(self.coeff_cols)
+        # row_pairs[a, i, k, j] is row 2i + k, column j of the horizontal
+        # half-band a; col_pairs[a, i, k, j] is where the vertical pass
+        # lifts it: row i of vertical half-band k, column a * ww/2 + j
+        self.row_pairs = self.rows.bands.reshape(2, mh, 2, mw)
+        self.col_pairs = self.cols.bands.reshape(2, mh, 2, mw).transpose(2, 1, 0, 3)
         self.approx = ws._shrink[:mh, :mw]  # the coarsest band when l + 1 levels deep
 
 
@@ -167,15 +180,18 @@ class LiftingWorkspace:
     the transform near-orthonormal (coefficient energy within about 25% of
     image energy on generic inputs).
 
-    Each level lifts the rows of its block, then its columns, each pass
-    along axis 0 of a buffer that holds the pass's two half-bands
-    contiguously (see _HalfBands): the horizontal pass runs in `_block`
-    (w + 2 rows of h), the vertical pass in `_vbuf` (h + 2 rows of w).
+    Each level lifts the rows of its block, then its columns, each pass in
+    a buffer that holds its two half-bands as planes with a spare line
+    along the lifting axis (see _HalfBands).  The rows are lifted in
+    `_hbuf`, two planes of hh rows of ww/2 + 1 samples, the spare column
+    last in s and first in d; the image's (or `coeffs`') even and odd
+    columns go in by a stride-2 gather.  The columns are lifted in `_vbuf`,
+    two planes of hh/2 + 1 rows of ww samples, the spare row between them;
+    row pairs go in from `_hbuf` as contiguous runs of ww/2.  Synthesis
+    copies the same ways back; no copy transposes.  `_hbuf` starts zeroed,
+    so the scratch sums in its spare lanes never read uninitialised memory.
     `_shrink`, the clip and abs buffer of the prox, is the front of
-    `_vbuf`; it is idle while the lifting runs.  The even/odd splits are
-    folded into the transposed copies from the image or `coeffs` into
-    `_block`, from `_block` into `_vbuf`, and from `_vbuf` back into
-    `coeffs` (the reverse in synthesis).  `coeffs` keeps the pyramid
+    `_vbuf`; it is idle while the lifting runs.  `coeffs` keeps the pyramid
     layout, one level's approximation band feeding the next: it is what
     `analyze` returns, and `detail_l1` sums it in row-major order, which
     fixes the rounding of the l1.  `_pairs` is the pair-sum scratch of
@@ -199,9 +215,9 @@ class LiftingWorkspace:
         self.shape = (h, w)
         self.levels = levels
         self.coeffs = np.empty((h, w))
-        self._block = np.empty((w + 2) * h)
+        self._hbuf = np.zeros(h * (w + 2))
         self._vbuf = np.empty((h + 2) * w)
-        self._pairs = np.empty(h * w // 2)
+        self._pairs = np.empty(h * (w // 2 + 1))
         self._shrink = self._vbuf[:h * w].reshape(h, w)
         self._levels = []
 
@@ -221,7 +237,7 @@ class LiftingWorkspace:
             lv = self._level(l)
             lv.rows.bands[...] = _columns(x, h, w) if l == 0 else lv.coeff_cols
             lv.rows.forward()
-            lv.cols_split[...] = lv.rows_as_cols
+            lv.col_pairs[...] = lv.row_pairs
             lv.cols.forward()
             lv.coeff_halves[...] = lv.cols.bands
         return self.coeffs
@@ -238,9 +254,13 @@ class LiftingWorkspace:
             lv = self._level(l)
             lv.cols.bands[...] = lv.coeff_halves
             lv.cols.inverse()
-            lv.rows_split[...] = lv.cols_as_rows
+            lv.row_pairs[...] = lv.col_pairs
             lv.rows.inverse()
-            (_columns(out, h, w) if l == 0 else lv.coeff_cols)[...] = lv.rows.bands
+            # one copy per band: in one 3-D copy numpy would loop innermost
+            # over the even/odd axis, the one of unit stride in the target
+            cols = tuple(_columns(out, h, w)) if l == 0 else lv.coeff_col_bands
+            for dst, band in zip(cols, lv.rows.halves):
+                dst[...] = band
         return out
 
     def shrink_details(self, gamma):
@@ -270,7 +290,7 @@ def prox_l1_wavelet(x, gamma, workspace):
     which is the detail-band l1 of the image's own coefficients up to
     rounding.  The returned image is the only new array.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # also catches NaN; inf zeros every detail band
         raise ValueError(f"threshold must be nonnegative, got {gamma}")
     workspace.analyze(x)
     workspace.shrink_details(gamma)

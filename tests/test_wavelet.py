@@ -116,6 +116,46 @@ def test_workspace_lifting_equals_scalar_pipeline(levels, rows, cols, gamma, see
     assert l1 == want_l1
 
 
+# base sides (rows, cols) of at most 16 samples, from 1:16 to 16:1
+BASE_SIDES = [(1 << a, 1 << b) for a in range(5) for b in range(5 - a)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(levels=st.integers(1, 4), sides=st.sampled_from(BASE_SIDES),
+       seed=st.integers(0, 2**32 - 1))
+def test_lifting_raises_no_floating_point_error_at_any_scale(levels, sides, seed):
+    # the horizontal pass sums across the spare lanes of its buffer: those
+    # scratch sums must never read uninitialised memory or overflow, in a
+    # fresh workspace or in one that earlier calls at other scales left
+    # full, since a RuntimeWarning would reach the CLI's stderr; every
+    # result still equals the scalar pipeline (2x32 at one level, 64x4 at
+    # two, ...).  Underflow is left out: numpy ignores it by default, and
+    # at 1e-300 the lifting of the image's own samples, not only the
+    # spare lanes, underflows to subnormals
+    shape = (sides[0] << levels, sides[1] << levels)
+    rng = np.random.default_rng(seed)
+    x1, c1 = rng.standard_normal(shape), rng.standard_normal(shape)
+    for depth in range(1, levels + 1):
+        reused = LiftingWorkspace(shape, depth)
+        for scale in (1e300, 1.0, 1e-300):
+            x, c, gamma = x1 * scale, c1 * scale, 0.5 * scale
+            coeffs = _scalar_analyze(x, depth)
+            detail = coeffs.copy()
+            detail[:shape[0] >> depth, :shape[1] >> depth] = 0.0
+            want_image, want_l1 = scalar_prox(x, gamma, depth)
+            want_inverse = _scalar_synthesize(c, depth)
+            for ws in (LiftingWorkspace(shape, depth), reused):
+                with np.errstate(all="raise", under="ignore"):
+                    got_coeffs = ws.analyze(x).copy()
+                    got_l1 = ws.detail_l1()
+                    got_inverse = workspace_synthesize(ws, c)
+                    image, l1 = prox_l1_wavelet(x, gamma, ws)
+                assert np.array_equal(got_coeffs, coeffs)
+                assert got_l1 == float(np.abs(detail).sum())
+                assert np.array_equal(got_inverse, want_inverse)
+                assert np.array_equal(image, want_image) and l1 == want_l1
+
+
 def test_reused_workspace_matches_fresh_calls(rng):
     # every call must overwrite what it reads: no result may depend on what
     # an earlier call left in the buffers; one workspace per depth, each
@@ -135,6 +175,20 @@ def test_reused_workspace_matches_fresh_calls(rng):
             want = prox_l1_wavelet(x, gamma, LiftingWorkspace(shape, levels))
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     assert np.array_equal(kept, first)  # workspaces share no buffers
+
+
+def test_prox_threshold_must_be_a_nonnegative_number(rng):
+    # NaN compares false with everything, so only `not gamma >= 0` rejects
+    # it; inf is a threshold every detail coefficient falls under
+    x = rng.standard_normal((16, 16))
+    ws = LiftingWorkspace(x.shape, 2)
+    for gamma in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match=f"threshold must be nonnegative, got {gamma}"):
+            prox_l1_wavelet(x, gamma, ws)
+    image, l1 = prox_l1_wavelet(x, float("inf"), ws)
+    want_image, want_l1 = scalar_prox(x, float("inf"), 2)
+    assert l1 == want_l1 == 0.0
+    assert np.array_equal(image, want_image)
 
 
 def test_prox_allocates_only_its_result_in_a_warm_workspace(rng):
