@@ -1,11 +1,11 @@
 """Command-line harness: single deblur runs, convergence curves, threshold
 sweeps and the averaged PSNR table, driven by plain-text config files.
 
-_KEYS is the one table of config keys, with each key's parser, default and
-the Scenario field it sets.  Every command builds all its solver configs
-and then goes through experiments.run_settings, which builds each kernel
-and loads each image once before the first run, so a bad setting exits 1
-before any run.
+_KEYS is the one table of config keys: each key's parser, default and the
+Scenario field it sets, whose default it reads.  Every command builds all
+its solver configs and then goes through experiments.run_settings, which
+builds each kernel and loads each image once before the first run, so a
+bad setting exits 1 before any run.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 when deblur or curves
 judges a run diverged (artifacts are still written so the failure can be
@@ -68,26 +68,26 @@ def _list_of(parse):
 # are tuples, so no parsed config shares a mutable default
 _KEYS = {
     "image": (str, "synthetic:cameraman", None),
-    "size": (int, 256, "image_size"),
-    "psf_size": (int, 7, "psf_size"),
-    "psf_sigma": (float, 4.0, "psf_sigma"),
-    "noise_sigma": (float, 0.01, "noise_sigma"),
+    "size": (int, Scenario.image_size, "image_size"),
+    "psf_size": (int, Scenario.psf_size, "psf_size"),
+    "psf_sigma": (float, Scenario.psf_sigma, "psf_sigma"),
+    "noise_sigma": (float, Scenario.noise_sigma, "noise_sigma"),
     "variant": (str, "fista", None),
-    "n": (int, 8, "n"),
+    "n": (int, Scenario.n, "n"),
     "p": (_auto_float, None, None),
-    "eta": (float, 1.0, "eta"),
-    "lambda": (_auto_float, None, "lam"),
-    "iterations": (int, 50, "K"),
-    "trials": (int, 10, "trials"),
-    "seed": (_seed, 0, "seed"),
+    "eta": (float, Scenario.eta, "eta"),
+    "lambda": (_auto_float, Scenario.lam, "lam"),
+    "iterations": (int, Scenario.K, "K"),
+    "trials": (int, Scenario.trials, "trials"),
+    "seed": (_seed, Scenario.seed, "seed"),
     "out": (_nonempty, "out", None),
     "images": (_list_of(str), STANDARD_IMAGES, None),
     "images_dir": (str, None, None),
     "noise_levels": (_list_of(float), (0.01, 0.001), None),
     "K_values": (_list_of(int), (45, 180), None),
-    "iter_divisor": (int, 3, "iter_divisor"),
+    "iter_divisor": (int, Scenario.iter_divisor, "iter_divisor"),
     "variants": (_list_of(str), ("fista", "ifista", "efista"), None),
-    "n_values": (_list_of(int), (8,), None),
+    "n_values": (_list_of(int), (Scenario.n,), None),
     "p_values": (_list_of(float), tuple(float(p) for p in range(1, 9)), None),
     "probe_iter": (int, 15, None),
 }
@@ -206,7 +206,7 @@ def cmd_sweep(cfg, quiet=False):
     image_id, images_dir = _image_source(cfg)
     scenario = _scenario(cfg, image_id)
     result = run_p_sweep(
-        scenario, cfg["n"], cfg["p_values"], cfg["probe_iter"],
+        scenario, scenario.n, cfg["p_values"], cfg["probe_iter"],
         out_dir=cfg["out"], images_dir=images_dir)
     if not quiet:
         for pt in result.points:

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .linop import blur_apply, idct2, make_gaussian_psf
+from .linop import blur_apply, idct2, make_gaussian_psf, require_finite, require_int
 from .pgmio import read_pgm
 from .solvers import SolverConfig, Variant, psnr, run_solver, runs_diverged
 from .wavelet import wavelet_depth
@@ -49,6 +49,57 @@ CURVE_HEADER = "iter,variant,n,p,trial,objective,psnr,seconds"
 TABLE_HEADER = "image,sigma,algorithm,iters,psnr_mean,psnr_std,secs_mean"
 
 
+@dataclass
+class Scenario:
+    """One benchmark setting: image, blur, noise level and budgets.
+
+    The field defaults are the config's (cli._KEYS reads them); eta and K
+    read SolverConfig's.  lam = None applies the rule lambda = 10 *
+    noise_sigma^2, resolved here because it needs the noise level.  K is
+    the iteration budget of the unweighted baseline, and the weighted
+    variants get K // iter_divisor iterations in the table benchmark.
+    Trial t draws its noise from seed + t.
+    """
+
+    image_id: str
+    noise_sigma: float = 0.01
+    K: int = SolverConfig.max_iters
+    psf_size: int = 7
+    psf_sigma: float = 4.0
+    eta: float = SolverConfig.eta
+    lam: float | None = None
+    n: int = 8
+    iter_divisor: int = 3
+    trials: int = 10
+    seed: int = 0
+    image_size: int = 256
+
+    def __post_init__(self):
+        for name in ("noise_sigma", "psf_sigma"):
+            require_finite(name, getattr(self, name))
+        for name in ("K", "trials", "seed", "iter_divisor", "psf_size", "image_size"):
+            require_int(name, getattr(self, name))
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.K < 0:
+            raise ValueError(f"K must be >= 0, got {self.K}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.iter_divisor < 1:
+            raise ValueError(f"iter_divisor must be >= 1, got {self.iter_divisor}")
+
+    def resolved_lambda(self):
+        return 10.0 * self.noise_sigma**2 if self.lam is None else self.lam
+
+    def solver_config(self, variant, n, p, iters):
+        """The SolverConfig of a run of this scenario; building it checks
+        the settings, so callers build every config before the first run."""
+        return SolverConfig(variant=variant, eta=self.eta, lam=self.resolved_lambda(),
+                            n=n, p=p, max_iters=iters)
+
+
 def add_awgn(x, sigma, seed):
     """Add white Gaussian noise of standard deviation sigma, seeded."""
     if not math.isfinite(sigma) or sigma < 0:
@@ -60,7 +111,7 @@ def add_awgn(x, sigma, seed):
     return x + sigma * rng.standard_normal(x.shape)
 
 
-def synthetic_image(image_id, size=256):
+def synthetic_image(image_id, size=Scenario.image_size):
     """Deterministic portrait-like test scene derived from the image name.
 
     A tilted sky gradient, one large dark figure, a few mid-scale ellipses,
@@ -123,7 +174,7 @@ def synthetic_image(image_id, size=256):
     return np.clip(img, 0.0, 1.0)
 
 
-def load_image(image_id, images_dir=None, size=256):
+def load_image(image_id, images_dir=None, size=Scenario.image_size):
     """Load <images_dir>/<image_id>.pgm, or fall back to the synthetic scene.
 
     With images_dir given, a missing file is an error (no silent fallback).
@@ -135,53 +186,6 @@ def load_image(image_id, images_dir=None, size=256):
             raise FileNotFoundError(f"image not found: {path}")
         return read_pgm(path)
     return synthetic_image(image_id, size)
-
-
-@dataclass
-class Scenario:
-    """One benchmark setting: image, blur, noise level and budgets.
-
-    lam = None applies the default rule lambda = 10 * noise_sigma^2; K is
-    the iteration budget of the unweighted baseline, and the weighted
-    variants get K // iter_divisor iterations in the table benchmark.
-    Trial t draws its noise from seed + t.
-    """
-
-    image_id: str
-    noise_sigma: float
-    K: int
-    psf_size: int = 7
-    psf_sigma: float = 4.0
-    eta: float = 1.0
-    lam: float | None = None
-    n: int = 8
-    iter_divisor: int = 3
-    trials: int = 10
-    seed: int = 0
-    image_size: int = 256
-
-    def __post_init__(self):
-        for name in ("noise_sigma", "psf_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
-        if self.K < 0:
-            raise ValueError(f"K must be >= 0, got {self.K}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.iter_divisor < 1:
-            raise ValueError(f"iter_divisor must be >= 1, got {self.iter_divisor}")
-
-    def resolved_lambda(self):
-        return 10.0 * self.noise_sigma**2 if self.lam is None else self.lam
-
-    def solver_config(self, variant, n, p, iters):
-        """The SolverConfig of a run of this scenario; building it checks
-        the settings, so callers build every config before the first run."""
-        return SolverConfig(variant=variant, eta=self.eta, lam=self.resolved_lambda(),
-                            n=n, p=p, max_iters=iters)
 
 
 def _run_trial(truth, psf, scenario, cfg, trial):

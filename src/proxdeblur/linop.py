@@ -16,6 +16,7 @@ filter for n > 1.
 """
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ __all__ = [
     "OperatorPlan",
     "operator_spectrum",
     "require_int",
+    "require_finite",
 ]
 
 # Largest difference between a tap and its mirror image that still counts
@@ -50,6 +52,14 @@ def require_int(name, value):
     (a bool is not)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(name, value):
+    """Raise ValueError naming `name` unless value is a finite real, not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linop import blur_apply, dct2, idct2, require_int
+from .linop import blur_apply, dct2, idct2, require_finite, require_int
 from .wavelet import LiftingWorkspace, prox_l1_wavelet, wavelet_depth
 from .weighting import MAX_ORDER, apply_weighted_gradient_nstep, operator_plan
 
@@ -76,12 +76,13 @@ class Variant(str, Enum):
 class SolverConfig:
     """Parameters of one solver run.
 
-    p = None asks for the default threshold scale lambda_max(W_n), resolved
-    from the actual spectrum when the run starts, and wavelet_levels = None
-    for the deepest decomposition the image shape admits (wavelet_depth).
-    For ISTA and FISTA the order n is forced to 1, and for everything but
-    EFISTA the threshold scale p is forced to 1 (those reductions define
-    the variants).
+    p = None asks for the default threshold scale lambda_max(W_n) and
+    wavelet_levels = None for the deepest depth the shape admits; the run
+    fills in both (_resolve).  n = 1, plain FISTA, is the library's default
+    and Scenario.n = 8, the paper's order, the commands'.  For ISTA and
+    FISTA n is forced to 1, and for everything but EFISTA p is forced to 1:
+    those reductions define the variants, and they are made here because
+    run_convergence_test dedups configs by the reduced (variant, n).
     """
 
     variant: Variant
@@ -100,9 +101,10 @@ class SolverConfig:
             self.n = 1
         if self.variant is not Variant.EFISTA:
             self.p = 1.0
-        for name, value in (("eta", self.eta), ("lambda", self.lam), ("p", self.p)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite("eta", self.eta)
+        require_finite("lambda", self.lam)
+        if self.p is not None:
+            require_finite("p", self.p)
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.lam < 0:
@@ -133,10 +135,11 @@ class Problem:
     @classmethod
     def build(cls, cfg, b, psf):
         """Problem for a run of cfg on data b: a workspace of its own at
-        cfg.wavelet_levels, which checks the depth before the cached
-        operator plan is looked up."""
+        cfg.wavelet_levels (None: wavelet_depth of the shape), which checks
+        the depth before the cached operator plan is looked up."""
         b = np.asarray(b, dtype=float)
-        workspace = LiftingWorkspace(b.shape, cfg.wavelet_levels)
+        levels = wavelet_depth(b.shape) if cfg.wavelet_levels is None else cfg.wavelet_levels
+        workspace = LiftingWorkspace(b.shape, levels)
         plan = operator_plan(psf, b.shape, cfg.eta, cfg.n)
         cb = dct2(b) if plan.lam is not None else None
         return cls(psf=psf, b=b, workspace=workspace, plan=plan, cb=cb)
@@ -170,7 +173,7 @@ class SolverState:
 @dataclass
 class IterationTrace:
     """The run's records, a divergence tag for runs that blew up, and the
-    run's config with every default resolved (p and wavelet_levels).
+    run's config with p and wavelet_levels resolved (_resolve).
 
     records is a numpy record array of TRACE_DTYPE, one row per recorded
     step: iter (1 for the first step), objective = data_term + regularizer
@@ -265,17 +268,15 @@ def efista_step(state, cfg, problem):
     return state
 
 
-def _resolve_p(cfg, plan):
-    """cfg with the default threshold scale p = lambda_max(W_n) filled in."""
-    p = cfg.p
-    if p is None:
-        p = plan.lambda_max_W
-    elif p > plan.lambda_max_W * (1 + 1e-6) + 1e-9:
-        warnings.warn(
-            f"threshold scale p = {p} exceeds lambda_max(W_{cfg.n}) = {plan.lambda_max_W}",
-            stacklevel=3,
-        )
-    return dataclasses.replace(cfg, p=p)
+def _resolve(cfg, problem):
+    """cfg with the depth of the problem's workspace and, for p = None,
+    lambda_max(W_n) of its plan; a larger p warns at run_solver's caller."""
+    lmax_W = problem.plan.lambda_max_W
+    if cfg.p is not None and cfg.p > lmax_W * (1 + 1e-6) + 1e-9:
+        warnings.warn(f"threshold scale p = {cfg.p} exceeds lambda_max(W_{cfg.n}) = {lmax_W}",
+                      stacklevel=3)
+    return dataclasses.replace(cfg, p=lmax_W if cfg.p is None else cfg.p,
+                               wavelet_levels=problem.workspace.levels)
 
 
 def run_solver(cfg, b, psf, x0=None, truth=None):
@@ -305,10 +306,8 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
             raise ValueError(f"shape mismatch: {name} {arr.shape} vs b {b.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} has non-finite entries")
-    if cfg.wavelet_levels is None:
-        cfg = dataclasses.replace(cfg, wavelet_levels=wavelet_depth(b.shape))
     problem = Problem.build(cfg, b, psf)
-    cfg = _resolve_p(cfg, problem.plan)
+    cfg = _resolve(cfg, problem)
 
     trace = IterationTrace(np.recarray(cfg.max_iters, dtype=TRACE_DTYPE), config=cfg)
     if cfg.max_iters == 0:

@@ -472,15 +472,40 @@ def test_every_command_builds_its_inputs_once_before_the_first_run(monkeypatch, 
     assert sorted(inputs) == sorted(images + [("image", "lena", 32), ("kernel", 7, 4.0)])
 
 
-def test_readme_config_grammar_lists_exactly_the_config_keys():
-    from proxdeblur import cli
-
+def readme_config_rows():
+    """(keys, meaning) of each row of the README's Config grammar table."""
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as f:
         section = f.read().split("\n### Config grammar\n", 1)[1].split("\n### ", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    documented = {key for cell in rows for key in cell.split("`")[1::2]}
+    cells = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return [(keys.split("`")[1::2], meaning.strip()) for keys, meaning in cells]
+
+
+def test_readme_config_grammar_lists_exactly_the_config_keys():
+    from proxdeblur import cli
+
+    documented = {key for keys, _ in readme_config_rows() for key in keys}
     assert documented == set(cli._KEYS)
+
+
+def test_readme_config_grammar_defaults_match_an_empty_config(tmp_path):
+    # each row's trailing "(default)" is read by its key's own parser, so
+    # `auto` reads as None; images (prose) and images_dir (none) show none
+    from proxdeblur import cli
+
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    defaults = cli.parse_config(str(empty))
+    checked = set()
+    for keys, meaning in readme_config_rows():
+        if keys == ["images"] or not meaning.endswith(")"):
+            continue
+        texts = meaning.rpartition("(")[2][:-1].replace("`", "").split(" / ")
+        assert len(texts) == len(keys), (keys, meaning)
+        for key, text in zip(keys, texts):
+            assert cli._KEYS[key][0](text) == defaults[key], (key, text)
+            checked.add(key)
+    assert checked == set(cli._KEYS) - {"images", "images_dir"}
 
 
 def test_empty_config_gives_the_scenario_defaults(tmp_path):

@@ -135,6 +135,16 @@ def test_scenario_validation():
         Scenario(image_id="x", noise_sigma=0.1, K=-1)
     with pytest.raises(ValueError):
         Scenario(image_id="x", noise_sigma=0.1, K=5, trials=0)
+    for bad, match in [({"trials": 2.0}, "trials must be an integer"),
+                       ({"K": 1.5}, "K must be an integer"),
+                       ({"iter_divisor": 2.0}, "iter_divisor must be an integer"),
+                       ({"seed": 1.0}, "seed must be an integer"),
+                       ({"seed": -1}, "seed must be >= 0, got -1"),
+                       ({"psf_size": 7.0}, "psf_size must be an integer"),
+                       ({"image_size": 32.0}, "image_size must be an integer"),
+                       ({"noise_sigma": "0.1"}, "noise_sigma must be a real number")]:
+        with pytest.raises(ValueError, match=f"^{match}"):
+            Scenario(image_id="x", **bad)
     sc = Scenario(image_id="x", noise_sigma=0.01, K=5)
     assert sc.resolved_lambda() == pytest.approx(1e-3)
     assert Scenario(image_id="x", noise_sigma=0.01, K=5, lam=0.2).resolved_lambda() == 0.2

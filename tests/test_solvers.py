@@ -254,9 +254,11 @@ def test_bad_truth_is_rejected_before_any_step(monkeypatch, psf74, truth, match)
 @pytest.mark.parametrize("kernel", ["psf74", "asymmetric_psf"])
 @pytest.mark.parametrize("field,value", [
     ("n", 2.5), ("n", True), ("max_iters", 2.5), ("max_iters", False), ("max_iters", "5"),
+    ("eta", None), ("lam", None), ("lam", "0.1"), ("p", "3"),
 ])
 def test_non_integer_order_or_iterations_is_rejected_naming_the_field(
         monkeypatch, request, kernel, field, value):
+    # eta, lam and p must be real numbers instead, and lam is named lambda
     from proxdeblur import solvers
 
     def no_plan(*args, **kwargs):
@@ -264,7 +266,9 @@ def test_non_integer_order_or_iterations_is_rejected_naming_the_field(
 
     monkeypatch.setattr(solvers, "operator_plan", no_plan)
     psf = request.getfixturevalue(kernel)
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+    name = {"lam": "lambda"}.get(field, field)
+    kind = "an integer" if field in ("n", "max_iters") else "a real number"
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {value!r}$"):
         run_solver(SolverConfig(**{"variant": "efista", "eta": 0.9, "lam": 1e-3, "n": 2,
                                    "max_iters": 3, field: value}),
                    np.zeros((16, 16)), psf)
