@@ -224,11 +224,12 @@ def run_settings(settings, images_dir=None):
     """Run a list of (scenario, cfg) settings; yield (runs, curves, diverged)
     per setting, in order.
 
-    Each distinct kernel and (image, size) is built once, and each
-    setting's image is checked against its kernel, wavelet depth and step
-    size (by the cached n = 1 operator plan), before the first run; a
-    ValueError names the image.  runs: _run_trial per trial, on
-    min(trials, cpu_count) threads (one worker: the calling thread).
+    Each distinct kernel and (image, size) is built once.  Before the
+    first run each setting's image is checked against its wavelet depth,
+    and against its kernel and step size by building the setting's operator
+    plan, which the kernel keeps for the runs; a ValueError names the
+    image.  runs: _run_trial per trial, on min(trials, cpu_count) threads
+    (one worker: the calling thread).
     curves: objective, psnr and seconds as (trials + 1, max_iters) arrays,
     row t trial t (NaN past its last record), the last row the across-trial
     NaN mean.  diverged: runs_diverged on that mean.  No runs are kept once
@@ -241,9 +242,8 @@ def run_settings(settings, images_dir=None):
     for sc, cfg in settings:
         shape = truths[sc.image_id, sc.image_size].shape
         try:
-            # the n = 1 plan checks the kernel fit and the eta bound, and
-            # it is cached per (kernel, shape), not per order
-            operator_plan(psfs[sc.psf_size, sc.psf_sigma], shape, cfg.eta, 1)
+            # the plan checks the kernel fit and the eta bound
+            operator_plan(psfs[sc.psf_size, sc.psf_sigma], shape, cfg.eta, cfg.n)
             wavelet_depth(shape)
         except ValueError as exc:
             raise ValueError(f"image {sc.image_id}: {exc}") from None

@@ -8,13 +8,16 @@ the orthonormal 2D DCT-II, A = C^T diag(lam) C, so every product with A or
 A^T becomes a pointwise product in the DCT domain.  Other kernels are applied
 in the spatial domain: a rank-one kernel (taps = outer(col, row)) as two 1-D
 passes, any other as one 2-D correlation.  OperatorPlan holds what a
-solver run needs of A; operator_spectrum is the cached n = 1 plan of a
-(kernel, shape): lam (from spectral_decompose) and lambda_max(A^T A), which
-for other kernels comes from one Lanczos solve on the matrix-free A^T A.
-lambda_max_AtA reads that cache, and weighting.operator_plan adds the W_n
-filter for n > 1.
+solver run needs of A, and each Psf keeps the plans built from it, so a
+plan lives as long as its kernel.  operator_spectrum is the n = 1 plan of
+a (kernel, shape): lam (from spectral_decompose) and lambda_max(A^T A),
+which for other kernels comes from one Lanczos solve on the matrix-free
+A^T A.  lambda_max_AtA reads it, and weighting.operator_plan adds the W_n
+filter for n > 1.  make_gaussian_psf hands out one Psf per (size, sigma),
+so the commands share its plans across calls.
 """
 
+import functools
 import math
 import numbers
 import threading
@@ -34,7 +37,6 @@ __all__ = [
     "idct2",
     "spectral_decompose",
     "lambda_max_AtA",
-    "BuildCache",
     "OperatorPlan",
     "operator_spectrum",
     "require_int",
@@ -62,16 +64,19 @@ def require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Psf:
     """Normalized odd-sized convolution kernel defining the blur operator.
+
+    Kernels compare and hash by identity: each one owns the operator plans
+    built from it (plan), and a new Psf with equal taps starts with none.
 
     Attributes
     ----------
     size : int
         Side length of the square kernel, odd.
     taps : ndarray
-        (size, size) weights summing to 1.
+        Read-only (size, size) copy of the given weights, summing to 1.
     factors : (ndarray, ndarray) or None
         Read-only (col, row) with taps = outer(col, row) to within
         _SYMMETRY_TOL per tap, set when the kernel is rank one and not
@@ -81,11 +86,15 @@ class Psf:
 
     size: int
     taps: np.ndarray
-    factors: tuple | None = field(init=False, repr=False, compare=False)
-    _symmetric: bool = field(init=False, repr=False, compare=False)
+    factors: tuple | None = field(init=False, repr=False)
+    _symmetric: bool = field(init=False, repr=False)
+    _plans: dict = field(init=False, repr=False)
+    _lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=float)
+        require_int("psf size", self.size)
+        taps = np.array(self.taps, dtype=float)
+        taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
         if self.size < 1 or self.size % 2 == 0:
             raise ValueError(f"psf size must be a positive odd integer, got {self.size}")
@@ -100,11 +109,22 @@ class Psf:
                          and np.abs(taps - taps[:, ::-1]).max() <= _SYMMETRY_TOL)
         object.__setattr__(self, "_symmetric", symmetric)
         object.__setattr__(self, "factors", None if symmetric else _rank_one_factors(taps))
+        object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_lock", threading.Lock())
 
     def is_doubly_symmetric(self):
         """True when the kernel is flip-symmetric in both axes, to within
         _SYMMETRY_TOL per tap."""
         return self._symmetric
+
+    def plan(self, key, build):
+        """The plan kept under key, made by build() on first use under the
+        kernel's lock: threads asking at once build it once, and a build
+        that raises leaves nothing behind."""
+        with self._lock:
+            if key not in self._plans:
+                self._plans[key] = build()
+            return self._plans[key]
 
 
 def _rank_one_factors(taps):
@@ -121,16 +141,20 @@ def _rank_one_factors(taps):
     return col, row
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def make_gaussian_psf(size, sigma):
-    """Build a normalized Gaussian kernel.
+    """Normalized Gaussian kernel, one Psf (and so one set of plans) per
+    (size, sigma) while it is among the 8 most recently asked for; typed,
+    so a float or bool size is rejected rather than matched to an int.
 
     taps_ij is proportional to exp(-((i-c)^2 + (j-c)^2) / (2 sigma^2)) with
     c = (size-1)/2, normalized to unit sum.
     """
+    require_int("psf size", size)
     if size < 1 or size % 2 == 0:
         raise ValueError(f"psf size must be a positive odd integer, got {size}")
-    if not math.isfinite(sigma) or sigma <= 0:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Real) and 0 < sigma < math.inf):
+        raise ValueError(f"psf sigma must be positive and finite, got {sigma!r}")
     c = (size - 1) / 2
     i = np.arange(size)
     g = np.exp(-((i - c) ** 2) / (2 * sigma**2))
@@ -274,36 +298,10 @@ def _lanczos_lambda_max(psf, shape):
 
 def lambda_max_AtA(psf, width, height):
     """Largest eigenvalue of A^T A on height x width images, read from the
-    cached operator_spectrum: from the DCT eigenvalues when the kernel is
+    kernel's operator_spectrum: from the DCT eigenvalues when the kernel is
     doubly symmetric, from a Lanczos solve otherwise; both are exact to
     round-off."""
     return operator_spectrum(psf, (height, width)).lambda_max_AtA
-
-
-class BuildCache:
-    """Small map for objects that are costly to build; the oldest entry
-    goes first when it is full.
-
-    Builds run under the cache's lock, so threads asking for the same key
-    at once build it once; a build that raises leaves nothing behind.
-    """
-
-    def __init__(self, size):
-        self.size = size
-        self._items = {}
-        self._lock = threading.Lock()
-
-    def get(self, key, build):
-        with self._lock:
-            if key not in self._items:
-                if len(self._items) >= self.size:
-                    del self._items[next(iter(self._items))]
-                self._items[key] = build()
-            return self._items[key]
-
-    def clear(self):
-        with self._lock:
-            self._items.clear()
 
 
 @dataclass(frozen=True)
@@ -326,16 +324,8 @@ class OperatorPlan:
     gain: np.ndarray | None = None
 
 
-def psf_key(psf):
-    """Hashable identity of a kernel: its taps."""
-    return psf.taps.shape, psf.taps.tobytes()
-
-
-_SPECTRA = BuildCache(8)
-
-
 def operator_spectrum(psf, shape):
-    """The cached n = 1 OperatorPlan of psf on (height, width) images.
+    """The n = 1 OperatorPlan of psf on (height, width) images, kept by psf.
 
     For a doubly symmetric kernel this is one spectral_decompose (self-check
     included); otherwise one Lanczos solve (_lanczos_lambda_max).
@@ -351,4 +341,4 @@ def operator_spectrum(psf, shape):
         return OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
                             lam=lam, phi=1.0, gain=lam)
 
-    return _SPECTRA.get((psf_key(psf), h, w), build)
+    return psf.plan((h, w), build)

@@ -136,7 +136,7 @@ class Problem:
     def build(cls, cfg, b, psf):
         """Problem for a run of cfg on data b: a workspace of its own at
         cfg.wavelet_levels (None: wavelet_depth of the shape), which checks
-        the depth before the cached operator plan is looked up."""
+        the depth before the kernel's operator plan is looked up."""
         b = np.asarray(b, dtype=float)
         levels = wavelet_depth(b.shape) if cfg.wavelet_levels is None else cfg.wavelet_levels
         workspace = LiftingWorkspace(b.shape, levels)

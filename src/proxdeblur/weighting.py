@@ -12,10 +12,11 @@ In the DCT eigenbasis W_n acts as the scalar filter
 
 which build_filter evaluates in a cancellation-free form.  operator_plan is
 the one path from a (kernel, shape, eta, n) to what a solver run needs, a
-linop.OperatorPlan: it checks eta against lambda_max(A^T A) of the cached
-n = 1 plan, operator_spectrum, and for n > 1 adds phi, the step's gain
-phi * lam and lambda_max(W_n).  The matrix-free n-step recursion is the
-exact fallback for operators with no DCT form.
+linop.OperatorPlan: it checks eta against lambda_max(A^T A) of the n = 1
+plan, operator_spectrum, and for n > 1 adds phi, the step's gain
+phi * lam and lambda_max(W_n).  The kernel keeps every plan built from it
+(linop.Psf.plan).  The matrix-free n-step recursion is the exact fallback
+for operators with no DCT form.
 """
 
 import math
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linop import BuildCache, gradient, operator_spectrum, psf_key, require_int
+from .linop import gradient, operator_spectrum, require_int
 
 __all__ = [
     "MAX_ORDER",
@@ -138,24 +139,20 @@ def apply_weighted_gradient_nstep(psf, x, b, eta, n):
     return z
 
 
-_PLANS = BuildCache(8)
-
-
 def operator_plan(psf, shape, eta, n):
     """The OperatorPlan of psf on (height, width) images at step size eta
     and order n.
 
     For n = 1 that is operator_spectrum itself.  Otherwise a kernel with no
     DCT form only changes lambda_max_W to n, and a DCT plan gets the W_n
-    filter from build_filter, cached per (kernel, shape, eta, n), so its
-    self-checks run once per plan.
+    filter from build_filter, kept by the kernel per (shape, eta, n), so
+    its self-checks run once per plan.
 
     Raises
     ------
     ValueError
         If eta is not positive or exceeds 1/lambda_max(A^T A).
     """
-    h, w = shape
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     base = operator_spectrum(psf, shape)
@@ -173,4 +170,4 @@ def operator_plan(psf, shape, eta, n):
         phi.flags.writeable = gain.flags.writeable = False
         return replace(base, lambda_max_W=float(phi.max()), phi=phi, gain=gain)
 
-    return _PLANS.get((psf_key(psf), h, w, float(eta), int(n)), build)
+    return psf.plan((*shape, float(eta), int(n)), build)

@@ -4,7 +4,8 @@ Each workload is built and run for one round in this process by the
 benchmark's own worker code, which imports proxdeblur from src/, and its
 outputs are checked by the benchmark's own checks.  A renamed function,
 field or option that the worker relies on fails here rather than as a
-failed benchmark run.
+failed benchmark run.  The rounds after the first build no operator plan,
+which is what the workloads' timings assume.
 """
 
 import argparse
@@ -34,3 +35,25 @@ def test_one_round_of_each_workload_succeeds_and_passes_its_checks(tmp_path, nam
     assert errors == []
     assert psnr_db > 0
     worker.setup(args)  # the max_iters = 0 call that setup_s times
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_a_second_round_of_each_workload_builds_no_plan(monkeypatch, tmp_path, name):
+    import checks
+
+    pd, _ = worker.import_program()
+    one_round, _ = worker.BUILDERS[name](pd, workloads, checks, tmp_path, 0)
+    assert all(one_round())
+    calls = []
+
+    def counted(fn_name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn_name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, fn_name in ((pd.linop, "spectral_decompose"), (pd.linop, "_lanczos_lambda_max"),
+                            (pd.weighting, "build_filter")):
+        monkeypatch.setattr(module, fn_name, counted(fn_name, getattr(module, fn_name)))
+    assert all(one_round())
+    assert calls == []

@@ -270,6 +270,35 @@ def test_psnr_table_contents(tmp_path):
     assert "EFISTA" in text and "psnr_mean" in text
 
 
+def test_psnr_table_builds_each_plan_once_over_nine_image_shapes(monkeypatch, tmp_path):
+    # every plan is built by the check before the first run and kept by the
+    # kernel for the runs, however many image shapes the table spans
+    from proxdeblur import linop, weighting
+    from proxdeblur.pgmio import write_pgm
+
+    calls = {"spectral_decompose": 0, "build_filter": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linop, "spectral_decompose",
+                        counted("spectral_decompose", linop.spectral_decompose))
+    monkeypatch.setattr(weighting, "build_filter",
+                        counted("build_filter", weighting.build_filter))
+    widths = range(32, 50, 2)
+    for w in widths:
+        write_pgm(str(tmp_path / f"s{w}.pgm"), synthetic_image("cameraman", 48)[:32, :w])
+    # a kernel no other test asks for, so it starts with no plans
+    scenarios = [Scenario(image_id=f"s{w}", K=3, trials=1, psf_size=5, psf_sigma=1.375)
+                 for w in widths]
+    table = run_psnr_table(scenarios, images_dir=str(tmp_path))
+    assert len(table.rows) == 3 * len(widths)
+    assert calls == {"spectral_decompose": 9, "build_filter": 9}
+
+
 def test_psnr_table_missing_image_errors(tmp_path):
     sc = Scenario(image_id="ghost", noise_sigma=0.01, K=2, trials=1,
                   image_size=32)

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import densify_blur, direct_blur
-from proxdeblur import linop
 from proxdeblur.linop import (
     Psf,
     blur_adjoint,
@@ -55,6 +54,32 @@ def test_psf_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         Psf(size=3, taps=bad)
+    # a float or bool size would reach range() in the blur as a TypeError
+    for size in (7.0, True):
+        with pytest.raises(ValueError, match="psf size must be an integer"):
+            make_gaussian_psf(size, 4.0)
+    with pytest.raises(ValueError, match="psf size must be an integer"):
+        Psf(size=7.0, taps=make_gaussian_psf(7, 4.0).taps)
+    for sigma in ("4", True):
+        with pytest.raises(ValueError, match="psf sigma must be positive and finite"):
+            make_gaussian_psf(7, sigma)
+
+
+def test_psf_keeps_a_read_only_copy_of_its_taps():
+    t = np.full((3, 3), 1 / 9)
+    psf = Psf(size=3, taps=t)
+    t[0, 0] += 0.05
+    t[0, 1] -= 0.05
+    assert np.array_equal(psf.taps, np.full((3, 3), 1 / 9))
+    assert not psf.taps.flags.writeable
+    assert psf.is_doubly_symmetric()
+    assert lambda_max_AtA(psf, 8, 8) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_psf_compares_by_identity_and_the_factory_shares_one_per_setting():
+    psf = make_gaussian_psf(5, 2.0)
+    assert psf == psf and psf != Psf(size=5, taps=psf.taps)
+    assert make_gaussian_psf(5, 2.0) is psf
 
 
 @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
@@ -205,7 +230,7 @@ def test_lambda_max_without_flip_symmetry_matches_dense_eigenvalue(asymmetric_ps
     lam = lambda_max_AtA(asymmetric_psf, width, height)
     A = densify_blur(asymmetric_psf, width, height).entries
     assert lam == pytest.approx(float(np.linalg.eigvalsh(A.T @ A).max()), rel=1e-10)
-    linop._SPECTRA.clear()
+    asymmetric_psf = Psf(size=asymmetric_psf.size, taps=asymmetric_psf.taps)  # no plans yet
     assert lambda_max_AtA(asymmetric_psf, width, height) == lam
 
 
