@@ -6,19 +6,20 @@ seed + t, so re-running a scenario reproduces every CSV byte for byte apart
 from the wall-clock columns.  run_settings is the one runner of every
 command: it builds the inputs once, runs each setting's trials and gives
 each setting's per-iteration curves and its divergence verdict; curve_rows
-formats every convergence CSV row, per trial and across-trial mean alike.
+formats every convergence CSV row, per trial and across-trial mean alike,
+and TABLE_HEADER names the columns of table.csv and the rendered table.
 """
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .linop import blur_apply, idct2, make_gaussian_psf, require_finite, require_int
+from .linop import (blur_apply, idct2, make_gaussian_psf, require_finite,
+                    require_gaussian_sigma, require_int)
 from .pgmio import read_pgm
 from .solvers import SolverConfig, Variant, psnr, run_solver, runs_diverged
 from .wavelet import wavelet_depth
@@ -55,10 +56,11 @@ class Scenario:
 
     The field defaults are the config's (cli._KEYS reads them); eta and K
     read SolverConfig's.  lam = None applies the rule lambda = 10 *
-    noise_sigma^2, resolved here because it needs the noise level.  K is
-    the iteration budget of the unweighted baseline, and the weighted
-    variants get K // iter_divisor iterations in the table benchmark.
-    Trial t draws its noise from seed + t.
+    noise_sigma^2, resolved here because it needs the noise level, and a
+    noise_sigma for which the rule overflows is rejected.  K is the
+    iteration budget of the unweighted baseline, and the weighted variants
+    get K // iter_divisor iterations in the table benchmark.  Trial t
+    draws its noise from seed + t.
     """
 
     image_id: str
@@ -77,10 +79,15 @@ class Scenario:
     def __post_init__(self):
         for name in ("noise_sigma", "psf_sigma"):
             require_finite(name, getattr(self, name))
+        require_gaussian_sigma("psf_sigma", self.psf_sigma)
         for name in ("K", "trials", "seed", "iter_divisor", "psf_size", "image_size"):
             require_int(name, getattr(self, name))
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        sigma = float(self.noise_sigma)  # a float product: ** would raise on overflow
+        if self.lam is None and not 10.0 * (sigma * sigma) < math.inf:
+            raise ValueError(f"noise_sigma = {sigma!r} is too large for lambda = auto"
+                             " (10 noise_sigma^2 overflows)")
         if self.K < 0:
             raise ValueError(f"K must be >= 0, got {self.K}")
         if self.trials < 1:
@@ -206,17 +213,14 @@ def _run_setting(truth, psf, scenario, cfg):
         with ThreadPoolExecutor(max_workers=workers) as ex:
             runs = list(ex.map(trial, range(scenario.trials)))
     traces = [trace for _, trace, _, _ in runs]
+    longest = max(len(trace) for trace in traces)
     curves = {}
     for attr in ("objective", "psnr", "seconds"):
         mat = curves[attr] = np.full((len(traces) + 1, cfg.max_iters), np.nan)
         for t, trace in enumerate(traces):
             mat[t, :len(trace)] = trace.records[attr]
-    # the filter is process-wide, so it runs only after the trial threads
-    # have joined; a column no trial reached stays NaN
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for mat in curves.values():
-            mat[-1] = np.nanmean(mat[:-1], axis=0)
+        # a column no trial reached stays NaN
+        mat[-1, :longest] = np.nanmean(mat[:-1, :longest], axis=0)
     return runs, curves, runs_diverged([tr.diverged for tr in traces], curves["objective"][-1])
 
 
@@ -232,8 +236,9 @@ def run_settings(settings, images_dir=None):
     (one worker: the calling thread).
     curves: objective, psnr and seconds as (trials + 1, max_iters) arrays,
     row t trial t (NaN past its last record), the last row the across-trial
-    NaN mean.  diverged: runs_diverged on that mean.  No runs are kept once
-    yielded; callers drop them before the next.
+    NaN mean over the columns some trial reached (NaN after them).
+    diverged: runs_diverged on that mean.  No runs are kept once yielded;
+    callers drop them before the next.
     """
     psfs = {key: make_gaussian_psf(*key)
             for key in dict.fromkeys((sc.psf_size, sc.psf_sigma) for sc, _ in settings)}
@@ -319,9 +324,6 @@ class PSweepPoint:
 class PSweepResult:
     """Mean objective at the probe iteration, and a divergence tag, per p."""
 
-    image_id: str
-    n: int
-    probe_iter: int
     points: list = field(default_factory=list)
 
     def divergence_frontier(self):
@@ -354,7 +356,7 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None, images_dir=None
     configs = [scenario.solver_config(Variant.EFISTA, n, float(p), scenario.K)
                for p in p_values]
     results = run_settings([(scenario, cfg) for cfg in configs], images_dir)
-    result = PSweepResult(image_id=scenario.image_id, n=n, probe_iter=probe_iter)
+    result = PSweepResult()
     for cfg in configs:
         curves, diverged = next(results)[1:]  # no setting's iterates outlive it
         fprobe = float(curves["objective"][-1, probe_iter - 1])
@@ -383,19 +385,14 @@ class ResultTable:
 
     def render(self):
         """Aligned plain-text table."""
-        headers = ["image", "sigma", "algorithm", "iters",
-                   "psnr_mean", "psnr_std", "secs_mean"]
-        cells = [headers]
+        cells = [TABLE_HEADER.split(",")]
         for r in self.rows:
             cells.append([
                 r.image_id, f"{r.sigma:g}", r.algorithm, str(r.iters),
                 f"{r.psnr_mean:.2f}", f"{r.psnr_std:.2f}", f"{r.secs_mean:.3f}",
             ])
-        widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-        lines = []
-        for row in cells:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
 
 def run_psnr_table(scenarios, out_dir=None, images_dir=None):

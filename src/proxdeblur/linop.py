@@ -41,6 +41,7 @@ __all__ = [
     "operator_spectrum",
     "require_int",
     "require_finite",
+    "require_gaussian_sigma",
 ]
 
 # Largest difference between a tap and its mirror image that still counts
@@ -62,6 +63,17 @@ def require_finite(name, value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_gaussian_sigma(name, sigma):
+    """Raise ValueError naming `name` unless sigma is a positive real whose
+    square is a positive finite float (a bool is not), the widths whose
+    Gaussian taps are finite."""
+    # a product of floats: float ** raises on overflow, and a numpy scalar warns
+    square = float(sigma) * float(sigma) if isinstance(sigma, numbers.Real) else math.nan
+    if isinstance(sigma, bool) or not (0 < square < math.inf and sigma > 0):
+        raise ValueError(f"{name} must be positive and finite, with a square "
+                         f"in the float range, got {sigma!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +138,10 @@ class Psf:
                 self._plans[key] = build()
             return self._plans[key]
 
+    def __reduce__(self):
+        """Pickle and copy as a new kernel with the same taps and no plans."""
+        return (Psf, (self.size, self.taps))
+
 
 def _rank_one_factors(taps):
     """(col, row) with outer(col, row) = taps to within _SYMMETRY_TOL per
@@ -153,11 +169,11 @@ def make_gaussian_psf(size, sigma):
     require_int("psf size", size)
     if size < 1 or size % 2 == 0:
         raise ValueError(f"psf size must be a positive odd integer, got {size}")
-    if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Real) and 0 < sigma < math.inf):
-        raise ValueError(f"psf sigma must be positive and finite, got {sigma!r}")
+    require_gaussian_sigma("psf sigma", sigma)
     c = (size - 1) / 2
     i = np.arange(size)
-    g = np.exp(-((i - c) ** 2) / (2 * sigma**2))
+    with np.errstate(over="ignore"):  # a tiny sigma sends the off-centre taps to 0
+        g = np.exp(-((i - c) ** 2) / (2 * sigma**2))
     k = np.outer(g, g)
     return Psf(size=size, taps=k / k.sum())
 

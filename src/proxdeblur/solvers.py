@@ -208,15 +208,17 @@ def _data_term(state, problem):
 
 
 def psnr(x, reference):
-    """Peak signal-to-noise ratio in dB with peak 1.0, capped at 200 dB."""
+    """Peak signal-to-noise ratio in dB with peak 1.0, capped at 200 dB, and
+    -inf when the mean squared error overflows."""
     x = np.asarray(x, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if x.shape != reference.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {reference.shape}")
-    mse = float(((x - reference) ** 2).mean())
+    with np.errstate(over="ignore"):
+        mse = float(((x - reference) ** 2).mean())
     if mse < 1e-20:
         return 200.0
-    return 10 * math.log10(1.0 / mse)
+    return 10 * math.log10(1.0 / mse) if mse < math.inf else -math.inf
 
 
 def momentum_alpha(alpha):

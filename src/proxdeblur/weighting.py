@@ -12,11 +12,12 @@ In the DCT eigenbasis W_n acts as the scalar filter
 
 which build_filter evaluates in a cancellation-free form.  operator_plan is
 the one path from a (kernel, shape, eta, n) to what a solver run needs, a
-linop.OperatorPlan: it checks eta against lambda_max(A^T A) of the n = 1
-plan, operator_spectrum, and for n > 1 adds phi, the step's gain
-phi * lam and lambda_max(W_n).  The kernel keeps every plan built from it
-(linop.Psf.plan).  The matrix-free n-step recursion is the exact fallback
-for operators with no DCT form.
+linop.OperatorPlan: for every order and kernel it checks eta against
+lambda_max(A^T A) of the n = 1 plan, operator_spectrum, to within STEP_TOL,
+and for n > 1 adds phi, the step's gain phi * lam and lambda_max(W_n).
+The kernel keeps every plan built from it (linop.Psf.plan).  The
+matrix-free n-step recursion is the exact fallback for operators with no
+DCT form.
 """
 
 import math
@@ -30,6 +31,7 @@ from .linop import gradient, operator_spectrum, require_int
 __all__ = [
     "MAX_ORDER",
     "MU_CLAMP",
+    "STEP_TOL",
     "binomial_filter_weights",
     "build_filter",
     "apply_weighted_gradient_nstep",
@@ -42,6 +44,10 @@ MAX_ORDER = 32
 # Below this, mu is insignificant in double precision and phi takes its
 # continuous limit n.
 MU_CLAMP = 1e-14
+
+# The round-off allowed past eta * lambda_max(A^T A) <= 1, the bound that keeps
+# every mu in [0, 1], and past the filter's range and invariants.
+STEP_TOL = 1e-12
 
 
 def binomial_filter_weights(n):
@@ -89,10 +95,11 @@ def build_filter(mu, n):
     The closed form and the literal binomial polynomial must agree to 1e-10
     on a sample of frequencies; this is asserted at build time.  The filter
     invariants 1 <= phi <= n and phi*mu <= 1 are also checked (they hold
-    whenever mu <= 1, i.e. eta <= 1/lambda_max(A^T A)).
+    whenever mu <= 1, i.e. eta <= 1/lambda_max(A^T A)); the range of mu and
+    the invariants allow STEP_TOL.
     """
     coeffs = binomial_filter_weights(n)
-    tol = 1e-12
+    tol = STEP_TOL
     if mu.min() < -tol or mu.max() > 1.0 + tol:
         raise ValueError(
             "spectrum outside [0, 1] (needs eta <= 1/lambda_max(A^T A)): "
@@ -151,13 +158,13 @@ def operator_plan(psf, shape, eta, n):
     Raises
     ------
     ValueError
-        If eta is not positive or exceeds 1/lambda_max(A^T A).
+        If eta is not positive or eta * lambda_max(A^T A) > 1 + STEP_TOL.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     base = operator_spectrum(psf, shape)
     lam_max = base.lambda_max_AtA
-    if lam_max > 0 and eta > (1 + 1e-9) / lam_max:
+    if eta * lam_max > 1 + STEP_TOL:
         raise ValueError(f"eta = {eta} exceeds 1/lambda_max(A^T A) = {1 / lam_max!r}")
     if n == 1:
         return base

@@ -280,6 +280,21 @@ def test_nonfinite_sigma_exits_one_naming_it(tmp_path, key, extra, value):
     assert not (tmp_path / "o").exists()  # rejected before any run
 
 
+@pytest.mark.parametrize("key,value", [
+    ("psf_sigma", "1e200"),  # sigma^2 overflows
+    ("psf_sigma", "1e-200"),  # sigma^2 underflows to 0, so the taps would be 0/0
+    ("noise_sigma", "1e300"),  # lambda = auto would be 10 sigma^2
+])
+def test_sigma_past_the_float_range_exits_one_naming_it(tmp_path, key, value):
+    cfg = write_cfg(tmp_path / "d.cfg", image="synthetic:lena", size=32,
+                    variant="efista", iterations=3, out=str(tmp_path / "o"),
+                    **{key: value})
+    res = run_cli("deblur", "--config", cfg)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stderr.startswith(f"error: {key}") and "Warning" not in res.stderr
+    assert not (tmp_path / "o").exists()  # rejected before any run
+
+
 @pytest.mark.parametrize("command,keys,message", [
     ("curves", dict(variants="fista, efista", n_values="0"), "order n must be >= 1, got 0"),
     ("curves", dict(variants="fista, efista", n_values="40"),

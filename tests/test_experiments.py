@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from proxdeblur.experiments import (
     _run_trial,
 )
 from proxdeblur.linop import make_gaussian_psf
-from proxdeblur.solvers import SolverConfig, run_solver
+from proxdeblur.solvers import TRACE_DTYPE, IterationTrace, SolverConfig, run_solver
 from proxdeblur.wavelet import wavelet_depth
 
 
@@ -68,6 +69,11 @@ def test_psnr_values(rng):
     assert psnr(x, y) == pytest.approx(10 * math.log10(1 / mse), rel=1e-12)
     with pytest.raises(ValueError):
         psnr(x, np.zeros((8, 8)))
+
+
+def test_psnr_is_minus_infinity_when_the_error_overflows():
+    # the squared error of finite inputs overflows to inf; log10(0) would raise
+    assert psnr(np.full((4, 4), 1e200), np.zeros((4, 4))) == -math.inf
 
 
 def test_synthetic_images_deterministic_and_distinct():
@@ -142,12 +148,19 @@ def test_scenario_validation():
                        ({"seed": -1}, "seed must be >= 0, got -1"),
                        ({"psf_size": 7.0}, "psf_size must be an integer"),
                        ({"image_size": 32.0}, "image_size must be an integer"),
-                       ({"noise_sigma": "0.1"}, "noise_sigma must be a real number")]:
+                       ({"noise_sigma": "0.1"}, "noise_sigma must be a real number"),
+                       # a square that overflows, underflows to 0, or a sigma <= 0
+                       ({"psf_sigma": 1e200}, "psf_sigma must be positive"),
+                       ({"psf_sigma": 1e-200}, "psf_sigma must be positive"),
+                       ({"psf_sigma": 0.0}, "psf_sigma must be positive"),
+                       ({"noise_sigma": 1e300}, r"noise_sigma = 1e\+300 is too large")]:
         with pytest.raises(ValueError, match=f"^{match}"):
             Scenario(image_id="x", **bad)
     sc = Scenario(image_id="x", noise_sigma=0.01, K=5)
     assert sc.resolved_lambda() == pytest.approx(1e-3)
     assert Scenario(image_id="x", noise_sigma=0.01, K=5, lam=0.2).resolved_lambda() == 0.2
+    # an explicit lambda leaves the noise level free
+    assert Scenario(image_id="x", noise_sigma=1e300, lam=0.2).resolved_lambda() == 0.2
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -245,11 +258,10 @@ def test_p_sweep_p1_reproduces_ifista(small_scenario, tmp_path):
 def test_sweep_result_helpers():
     pts = [PSweepPoint(1.0, 5.0, True), PSweepPoint(2.0, 3.0, False),
            PSweepPoint(3.0, 4.0, False)]
-    r = PSweepResult(image_id="x", n=8, probe_iter=3, points=pts)
+    r = PSweepResult(points=pts)
     assert r.divergence_frontier() == 2.0
     assert r.argmin_objective() == 2.0
-    allbad = PSweepResult(image_id="x", n=8, probe_iter=3,
-                          points=[PSweepPoint(1.0, 5.0, True)])
+    allbad = PSweepResult(points=[PSweepPoint(1.0, 5.0, True)])
     assert allbad.divergence_frontier() is None
 
 
@@ -323,3 +335,25 @@ def test_trial_parallelism_matches_serial(small_scenario):
     cfg = sc.solver_config("efista", 8, None, sc.K)
     serial = [_run_trial(truth, psf, sc, cfg, t)[1].objectives() for t in range(sc.trials)]
     assert np.array_equal(pooled, np.array(serial))
+
+
+def test_trial_mean_covers_the_columns_some_trial_reached(monkeypatch):
+    # trials of 3 and 1 records: the mean row is the NaN mean of the first
+    # three columns and NaN after them, with no warning about empty columns
+    from proxdeblur import experiments
+
+    def fake_trial(truth, psf, scenario, cfg, trial):
+        records = np.zeros(3 - 2 * trial, dtype=TRACE_DTYPE).view(np.recarray)
+        records.objective = records.psnr = records.seconds = np.arange(len(records)) + trial
+        return None, IterationTrace(records), None, 0.0
+
+    monkeypatch.setattr(experiments, "_run_trial", fake_trial)
+    sc = Scenario(image_id="x", K=5, trials=2)
+    cfg = sc.solver_config("fista", 1, None, sc.K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, curves, _ = experiments._run_setting(None, None, sc, cfg)
+    for mat in curves.values():
+        assert np.array_equal(mat[-1, :3], np.nanmean(mat[:-1, :3], axis=0))
+        assert np.array_equal(mat[-1, :3], [0.5, 1.0, 2.0])
+        assert np.isnan(mat[-1, 3:]).all()

@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import densify_blur, direct_blur
+from oracle import densify_blur, direct_blur, route_kernels
 from proxdeblur.linop import (
     Psf,
     blur_adjoint,
@@ -87,6 +89,38 @@ def test_gaussian_psf_rejects_nonfinite_sigma(sigma):
     # sigma = inf would give a uniform box kernel, not a Gaussian
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         make_gaussian_psf(7, sigma)
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e-200])
+def test_gaussian_psf_rejects_sigma_whose_square_leaves_the_float_range(sigma):
+    # sigma^2 would overflow (a traceback) or be 0 (0/0 taps)
+    with pytest.raises(ValueError, match="with a square in the float range"):
+        make_gaussian_psf(7, sigma)
+
+
+def test_gaussian_psf_of_tiny_sigma_is_the_identity_without_a_warning():
+    # the off-centre exponents overflow to -inf, so those taps are exactly 0
+    want = np.zeros((7, 7))
+    want[3, 3] = 1.0
+    assert np.array_equal(make_gaussian_psf(7, 1e-160).taps, want)
+
+
+@pytest.mark.parametrize("route", ["dct", "separable", "2d"])
+def test_psf_pickles_and_copies_as_a_new_kernel(route):
+    # a copy keeps the taps and the route, and starts with no plans
+    psf = route_kernels()[route]
+    plan = operator_plan(psf, (16, 16), 0.5, 4)
+    for twin in (pickle.loads(pickle.dumps(psf)), copy.deepcopy(psf)):
+        assert twin is not psf and twin._plans == {}
+        assert np.array_equal(twin.taps, psf.taps) and not twin.taps.flags.writeable
+        assert twin.is_doubly_symmetric() == psf.is_doubly_symmetric()
+        assert (twin.factors is None) == (psf.factors is None)
+        if psf.factors is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(twin.factors, psf.factors))
+        twin_plan = operator_plan(twin, (16, 16), 0.5, 4)
+        assert twin_plan.lambda_max_AtA == plan.lambda_max_AtA
+        for field in ("lam", "phi", "gain"):
+            assert np.array_equal(getattr(twin_plan, field), getattr(plan, field))
 
 
 def test_blur_matches_direct_summation(rng, psf31, psf52):

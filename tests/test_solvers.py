@@ -303,7 +303,7 @@ def test_run_builds_one_wavelet_workspace(monkeypatch, tiny_problem):
 
 def test_step_size_just_above_the_bound_is_rejected_without_flip_symmetry(rng, asymmetric_psf):
     # 1/eta is 1.4e-7 relative below lambda_max(A^T A) = 1.03339596 here,
-    # beyond the 1 + 1e-9 slack of the step-size check
+    # beyond the 1 + STEP_TOL slack of the step-size check
     b = rng.uniform(0, 1, (16, 16))
     with pytest.raises(ValueError, match="exceeds 1/lambda_max"):
         run_solver(SolverConfig(variant="efista", eta=1 / 1.0333958137368837, lam=1e-3,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracle import densify_blur, dense_Wn
 from proxdeblur.linop import dct2, gradient, idct2, operator_spectrum, spectral_decompose
 from proxdeblur.weighting import (
+    MAX_ORDER,
     _phi_binomial_exact,
     apply_weighted_gradient_nstep,
     binomial_filter_weights,
@@ -135,3 +136,15 @@ def test_nstep_weighting_validation(psf31):
     with pytest.raises(ValueError):
         apply_weighted_gradient_nstep(psf31, np.ones((8, 8)), np.ones((8, 8)), 1.0, 0)
 
+
+@pytest.mark.parametrize("kernel", ["psf74", "asymmetric_psf"])
+def test_one_step_size_bound_for_every_order(request, kernel):
+    # 5e-10 above 1/lambda_max is rejected by every order on both routes;
+    # 1/lambda_max itself is accepted by every order
+    psf = request.getfixturevalue(kernel)
+    lam_max = operator_spectrum(psf, (32, 32)).lambda_max_AtA
+    for n in (1, 2, 8):
+        with pytest.raises(ValueError, match=r"exceeds 1/lambda_max\(A\^T A\)"):
+            operator_plan(psf, (32, 32), (1 + 5e-10) / lam_max, n)
+    for n in (1, 2, 8, MAX_ORDER):
+        assert operator_plan(psf, (32, 32), 1 / lam_max, n).lambda_max_AtA == lam_max
