@@ -10,7 +10,10 @@ bad setting exits 1 before any run.
 Exit codes: 0 success, 1 usage/config/I-O error, 2 when deblur or curves
 judges a run diverged (artifacts are still written so the failure can be
 inspected).  sweep reports divergence per p in its output and exits 0;
-table does not judge divergence.
+table does not judge divergence.  Every input error reaches main as a
+ValueError, or an OSError from a file, and a run too large to allocate as
+a MemoryError; main prints each on one line, the last with the size,
+iterations and trials it was given, and exits 1.
 """
 
 import argparse
@@ -33,12 +36,7 @@ from .experiments import (
 )
 from .pgmio import write_pgm
 
-__all__ = ["ConfigError", "parse_config", "main",
-           "cmd_deblur", "cmd_curves", "cmd_sweep", "cmd_table"]
-
-
-class ConfigError(Exception):
-    """A config file problem; the message carries file and line number."""
+__all__ = ["parse_config", "main", "cmd_deblur", "cmd_curves", "cmd_sweep", "cmd_table"]
 
 
 def _auto_float(text):
@@ -101,25 +99,24 @@ def parse_config(path):
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+        raise ValueError(f"cannot read config: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
         try:
             cfg[key] = _KEYS[key][0](value)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
-            raise ConfigError(
-                f"{path}:{lineno}: bad value {value!r} for '{key}'") from None
+            raise ValueError(f"{path}:{lineno}: bad value {value!r} for '{key}'") from None
         if cfg[key] == ():
-            raise ConfigError(f"{path}:{lineno}: empty list for '{key}'")
+            raise ValueError(f"{path}:{lineno}: empty list for '{key}'")
     return cfg
 
 
@@ -132,10 +129,10 @@ def _image_source(cfg):
     if image.startswith("synthetic:"):
         name = image.split(":", 1)[1]
         if not name:
-            raise ConfigError("empty synthetic image name")
+            raise ValueError("empty synthetic image name")
         return name, None
     if not image.endswith(".pgm"):
-        raise ConfigError(f"image must be 'synthetic:<name>' or a .pgm path, got '{image}'")
+        raise ValueError(f"image must be 'synthetic:<name>' or a .pgm path, got '{image}'")
     return os.path.basename(image)[:-4], os.path.dirname(image) or "."
 
 
@@ -145,7 +142,7 @@ def _check_out(out):
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
-        raise ConfigError(f"out: {path} exists and is not a directory")
+        raise ValueError(f"out: {path} exists and is not a directory")
 
 
 def _scenario(cfg, image_id):
@@ -221,7 +218,7 @@ def cmd_sweep(cfg, quiet=False):
 def cmd_table(cfg, quiet=False):
     """Averaged PSNR table across images and noise levels."""
     if len(cfg["noise_levels"]) != len(cfg["K_values"]):
-        raise ConfigError(
+        raise ValueError(
             f"noise_levels has {len(cfg['noise_levels'])} entries but"
             f" K_values has {len(cfg['K_values'])}")
     scenarios = [
@@ -270,8 +267,13 @@ def main(argv=None):
             cfg["seed"] = args.seed
         _check_out(cfg["out"])
         command, _ = _COMMANDS[args.command]
-        return command(cfg, quiet=args.quiet)
-    except (ConfigError, OSError, ValueError) as exc:
+        try:
+            return command(cfg, quiet=args.quiet)
+        except MemoryError:
+            raise ValueError(
+                "not enough memory for this run: size = {size}, iterations = {iterations},"
+                " trials = {trials}".format_map(cfg)) from None
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

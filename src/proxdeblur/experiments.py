@@ -108,12 +108,10 @@ class Scenario:
 
 
 def add_awgn(x, sigma, seed):
-    """Add white Gaussian noise of standard deviation sigma, seeded."""
+    """x plus seeded white Gaussian noise of standard deviation sigma, always a new array."""
     if not math.isfinite(sigma) or sigma < 0:
         raise ValueError(f"noise sigma must be nonnegative and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
-    if sigma == 0:
-        return x.copy()
     rng = np.random.default_rng(seed)
     return x + sigma * rng.standard_normal(x.shape)
 

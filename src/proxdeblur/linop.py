@@ -61,7 +61,11 @@ def require_finite(name, value):
     """Raise ValueError naming `name` unless value is a finite real, not a bool."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite, got an int too large for a float") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -70,7 +74,10 @@ def require_gaussian_sigma(name, sigma):
     square is a positive finite float (a bool is not), the widths whose
     Gaussian taps are finite."""
     # a product of floats: float ** raises on overflow, and a numpy scalar warns
-    square = float(sigma) * float(sigma) if isinstance(sigma, numbers.Real) else math.nan
+    try:
+        square = float(sigma) * float(sigma) if isinstance(sigma, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        square = math.inf
     if isinstance(sigma, bool) or not (0 < square < math.inf and sigma > 0):
         raise ValueError(f"{name} must be positive and finite, with a square "
                          f"in the float range, got {sigma!r}")

@@ -295,8 +295,8 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
     ------
     ValueError
         If b, x0 or truth is not finite, the shape of x0 or truth differs
-        from that of b, the shape admits no wavelet level, or
-        wavelet_levels does not divide it.
+        from that of b, the shape admits no wavelet level, wavelet_levels
+        does not divide it, or the objective at x0 is not finite.
     """
     b = np.asarray(b, dtype=float)
     x0 = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -321,6 +321,9 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         state.l1 = problem.workspace.detail_l1()
     # F(x0), by the expression of every step below
     f0 = _data_term(state, problem) + cfg.lam * state.l1
+    if not math.isfinite(f0):
+        raise ValueError(f"the objective at x0 is not finite ({f0}): b, x0 or lambda"
+                         " is too large for float arithmetic")
     x, rows = x0, 0
     while rows < cfg.max_iters and not trace.diverged:
         t0 = time.perf_counter()

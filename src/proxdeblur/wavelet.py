@@ -81,34 +81,36 @@ class _HalfBands:
     (update); a 1-sample band repeats its sample.  Along a row the slices
     also cross from one row into the next, and those sums land in spares
     of the other band, scratch that the next fill of the spares
-    overwrites.  `bands` is (2, rows, columns) without the spares, and
-    `halves` its two bands; the buffer holds two whole planes, k slots
-    more than the views use, so that `bands` is a plain reshape.  Pair
-    sums go to `p`, a scratch block shared by all passes.
+    overwrites.  `s_terms` and `d_terms` are the operands (a, b, (spare,
+    nearest, next nearest)) of the two sums, and `p` is their scratch, one
+    for all passes.  `bands` is (2, rows, columns) without the spares and
+    `halves` its planes; the buffer holds two whole planes, k slots more
+    than the views use, so that `bands` is a plain reshape.
     """
 
-    __slots__ = ("bands", "halves", "s", "d", "s_next", "d_prev", "s_end", "d_start", "p")
+    __slots__ = ("bands", "halves", "s", "d", "s_terms", "d_terms", "p")
 
     def __init__(self, buf, shape, axis, pairs):
         size = shape[0] * shape[1]
         k = shape[1] if axis == 0 else 1
         n = size - k
-        self.s, self.s_next = buf[:n], buf[k:n + k]
-        self.d_prev, self.d = buf[n:2 * n], buf[n + k:2 * n + k]
+        self.s, self.d = buf[:n], buf[n + k:2 * n + k]
         self.p = pairs[:n]
         s_lines = np.moveaxis(buf[:size].reshape(shape), axis, 0)
         d_lines = np.moveaxis(buf[n:n + size].reshape(shape), axis, 0)
         m = len(s_lines) - 1
-        self.s_end = (s_lines[m], s_lines[m - 1], s_lines[m - 2] if m > 1 else None)
-        self.d_start = (d_lines[0], d_lines[1], d_lines[2] if m > 1 else None)
+        self.s_terms = (self.s, buf[k:n + k],
+                        (s_lines[m], s_lines[m - 1], s_lines[m - 2] if m > 1 else None))
+        self.d_terms = (buf[n:2 * n], self.d,
+                        (d_lines[0], d_lines[1], d_lines[2] if m > 1 else None))
         planes = buf[:2 * size].reshape(2, *shape)
         self.bands = planes[:, :m] if axis == 0 else planes[:, :, :m]
         self.halves = tuple(self.bands)
 
-    def _pair_sums(self, coef, a, b, end):
+    def _pair_sums(self, coef, terms):
         # p = coef * (a + b), once the spares hold the end samples
-        # extrapolated from end = (spare, nearest, next nearest)
-        spare, near, far = end
+        # extrapolated from (spare, nearest, next nearest)
+        a, b, (spare, near, far) = terms
         p = self.p
         if far is None:
             spare[...] = near
@@ -119,18 +121,12 @@ class _HalfBands:
         p *= coef
         return p
 
-    def _s_pairs(self, coef):
-        return self._pair_sums(coef, self.s, self.s_next, self.s_end)
-
-    def _d_pairs(self, coef):
-        return self._pair_sums(coef, self.d_prev, self.d, self.d_start)
-
     def forward(self):
         s, d = self.s, self.d
-        d += self._s_pairs(_ALPHA)
-        s += self._d_pairs(_BETA)
-        d += self._s_pairs(_GAMMA)
-        s += self._d_pairs(_DELTA)
+        d += self._pair_sums(_ALPHA, self.s_terms)
+        s += self._pair_sums(_BETA, self.d_terms)
+        d += self._pair_sums(_GAMMA, self.s_terms)
+        s += self._pair_sums(_DELTA, self.d_terms)
         s *= _ZETA
         d /= _ZETA
 
@@ -138,10 +134,10 @@ class _HalfBands:
         s, d = self.s, self.d
         s /= _ZETA
         d *= _ZETA
-        s -= self._d_pairs(_DELTA)
-        d -= self._s_pairs(_GAMMA)
-        s -= self._d_pairs(_BETA)
-        d -= self._s_pairs(_ALPHA)
+        s -= self._pair_sums(_DELTA, self.d_terms)
+        d -= self._pair_sums(_GAMMA, self.s_terms)
+        s -= self._pair_sums(_BETA, self.d_terms)
+        d -= self._pair_sums(_ALPHA, self.s_terms)
 
 
 def _columns(a, hh, ww):
@@ -153,7 +149,7 @@ class _Level:
     """The views one transform level runs on, built once per workspace."""
 
     __slots__ = ("rows", "cols", "coeff_halves", "coeff_cols", "coeff_col_bands", "row_pairs",
-                 "col_pairs", "approx")
+                 "col_pairs")
 
     def __init__(self, ws, l):
         hh, ww = ws.shape[0] >> l, ws.shape[1] >> l
@@ -168,7 +164,6 @@ class _Level:
         # lifts it: row i of vertical half-band k, column a * ww/2 + j
         self.row_pairs = self.rows.bands.reshape(2, mh, 2, mw)
         self.col_pairs = self.cols.bands.reshape(2, mh, 2, mw).transpose(2, 1, 0, 3)
-        self.approx = ws._shrink[:mh, :mw]  # the coarsest band when l + 1 levels deep
 
 
 class LiftingWorkspace:
@@ -191,7 +186,8 @@ class LiftingWorkspace:
     copies the same ways back; no copy transposes.  `_hbuf` starts zeroed,
     so the scratch sums in its spare lanes never read uninitialised memory.
     `_shrink`, the clip and abs buffer of the prox, is the front of
-    `_vbuf`; it is idle while the lifting runs.  `coeffs` keeps the pyramid
+    `_vbuf`; it is idle while the lifting runs, and its corner `_approx`
+    is zeroed there to keep the coarsest band.  `coeffs` keeps the pyramid
     layout, one level's approximation band feeding the next: it is what
     `analyze` returns, and `detail_l1` sums it in row-major order, which
     fixes the rounding of the l1.  `_pairs` is the pair-sum scratch of
@@ -219,6 +215,7 @@ class LiftingWorkspace:
         self._vbuf = np.empty((h + 2) * w)
         self._pairs = np.empty(h * (w // 2 + 1))
         self._shrink = self._vbuf[:h * w].reshape(h, w)
+        self._approx = self._shrink[:h >> levels, :w >> levels]
         self._levels = []
 
     def _level(self, l):
@@ -270,13 +267,13 @@ class LiftingWorkspace:
         exact-zero result is +0.0.
         """
         g = np.clip(self.coeffs, -gamma, gamma, out=self._shrink)
-        self._level(self.levels - 1).approx.fill(0.0)
+        self._approx.fill(0.0)
         self.coeffs -= g
 
     def detail_l1(self):
         """l1 of self.coeffs over the detail bands; self.coeffs is kept."""
         a = np.abs(self.coeffs, out=self._shrink)
-        self._level(self.levels - 1).approx.fill(0.0)
+        self._approx.fill(0.0)
         return float(a.sum())
 
 

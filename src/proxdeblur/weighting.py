@@ -67,14 +67,14 @@ def _phi_closed(mu, n):
 
     The textbook expression loses all significance for mu around 1e-12..1e-8
     (enough to push max phi above n); -expm1(n*log1p(-mu))/mu is exact to a
-    few ulps over the whole range.  phi = n below MU_CLAMP, and 1/mu once mu
-    reaches 1.
+    few ulps over the whole range.  phi = n below MU_CLAMP, and at mu >= 1
+    the clipped -expm1(n log1p(-1)) = -expm1(-inf) = 1 gives exactly 1/mu.
     """
     out = np.full(mu.shape, float(n))
     m = mu > MU_CLAMP
     mm = np.minimum(mu[m], 1.0)
     with np.errstate(divide="ignore"):
-        out[m] = np.where(mm < 1.0, -np.expm1(n * np.log1p(-mm)) / mu[m], 1.0 / mu[m])
+        out[m] = -np.expm1(n * np.log1p(-mm)) / mu[m]
     return out
 
 

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import threading
@@ -39,9 +40,11 @@ def child_env():
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run(
+    res = subprocess.run(
         [sys.executable, "-m", "proxdeblur", *args],
         capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=300)
+    assert "Traceback" not in res.stderr, res.stderr  # whatever the exit code
+    return res
 
 
 def test_import_does_not_load_scipy_signal_or_stats():
@@ -159,6 +162,44 @@ def test_bad_value_reports_line_number(tmp_path):
     assert "bad.cfg:1" in res.stderr
 
 
+def test_parse_config_raises_value_error_naming_path_and_line(tmp_path):
+    from proxdeblur import cli
+
+    p = tmp_path / "bad.cfg"
+    p.write_text("size = 32\niterations = ten\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: bad value 'ten' for 'iterations'")):
+        cli.parse_config(str(p))
+
+
+def test_overflowing_initial_objective_exits_one_before_any_output(tmp_path):
+    # lambda = 10 sigma^2 is finite, but 1/2 ||A b - b||^2 overflows at x0 = b
+    cfg = write_cfg(tmp_path / "d.cfg", image="synthetic:lena", size=32, variant="efista",
+                    noise_sigma="1e153", iterations=3, out=str(tmp_path / "o"))
+    res = run_cli("deblur", "--config", cfg)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stderr.startswith("error: the objective at x0 is not finite (inf)")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["deblur", "curves", "sweep", "table"])
+def test_run_too_large_to_allocate_exits_one_naming_its_size(monkeypatch, capsys, tmp_path,
+                                                             command):
+    from proxdeblur import cli, experiments
+
+    def no_memory(*args, **kwargs):
+        # stands in for a huge allocation, which a test never makes
+        raise MemoryError
+
+    monkeypatch.setattr(experiments, "run_solver", no_memory)
+    cfg = write_cfg(tmp_path / "c.cfg", size=32, iterations=3, trials=1, probe_iter=3,
+                    images="cameraman", noise_levels="0.01", K_values="3",
+                    out=str(tmp_path / "o"))
+    assert cli.main([command, "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: not enough memory for this run: size = 32, iterations = 3,"
+                   " trials = 1\n")
+
+
 def test_missing_config_exits_one(tmp_path):
     res = run_cli("deblur", "--config", str(tmp_path / "none.cfg"))
     assert res.returncode == 1
@@ -179,7 +220,6 @@ def test_p2_header_declaring_more_samples_than_the_file_holds_exits_one(tmp_path
     res = run_cli("deblur", "--config", cfg)
     assert res.returncode == 1
     assert "error:" in res.stderr and "raster truncated" in res.stderr
-    assert "Traceback" not in res.stderr
 
 
 def test_usage_error_exits_one():

@@ -20,7 +20,7 @@ from proxdeblur.experiments import (
     synthetic_image,
     _run_trial,
 )
-from proxdeblur.linop import make_gaussian_psf
+from proxdeblur.linop import blur_apply, make_gaussian_psf
 from proxdeblur.solvers import TRACE_DTYPE, IterationTrace, SolverConfig, run_solver
 from proxdeblur.wavelet import wavelet_depth
 
@@ -50,6 +50,10 @@ def test_awgn_zero_sigma_copies():
     out = add_awgn(x, 0.0, seed=3)
     assert np.array_equal(out, x)
     assert out is not x
+    # a blurred scene, whose samples span many binades
+    scene = blur_apply(make_gaussian_psf(7, 4.0), synthetic_image("lena", 64))
+    out = add_awgn(scene, 0.0, seed=3)
+    assert np.array_equal(out, scene) and not np.shares_memory(out, scene)
 
 
 def test_awgn_determinism_and_validation(rng):
@@ -171,6 +175,15 @@ def test_nonfinite_sigmas_are_rejected_by_name(value):
             Scenario(**keys)
     with pytest.raises(ValueError, match="noise sigma must be nonnegative and finite"):
         add_awgn(np.zeros((4, 4)), value, 0)
+
+
+def test_int_sigmas_past_the_float_range_are_rejected_by_name():
+    # math.isfinite and float() raise OverflowError for such an int
+    for key in ("psf_sigma", "noise_sigma"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            Scenario(image_id="x", **{key: 10**400})
+    with pytest.raises(ValueError, match="^psf sigma must be positive and finite"):
+        make_gaussian_psf(7, 10**400)
 
 
 @pytest.fixture(scope="module")

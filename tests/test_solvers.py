@@ -164,15 +164,43 @@ def test_hard_divergence_guard(monkeypatch, tiny_problem):
     assert len(trace) == 1  # the offending record is kept
 
 
-def test_nonfinite_iterates_flag_divergence(rng, psf31):
-    # a start so large the residual overflows; a constant would not do
-    # (blur preserves constants, making it an exact fixed point)
-    b = rng.standard_normal((16, 16))
-    x0 = 1e200 * rng.standard_normal((16, 16))
-    _, trace = run_solver(
-        SolverConfig(variant="fista", max_iters=5, wavelet_levels=2),
-        b, psf31, x0=x0)
+def test_nonfinite_iterates_flag_divergence(monkeypatch, tiny_problem):
+    from proxdeblur import solvers
+
+    psf, b = tiny_problem
+    cfg = SolverConfig(variant="fista", max_iters=5, wavelet_levels=2)
+    assert not run_solver(cfg, b, psf)[1].diverged
+    # F(x0) is finite; the second step's iterate is so large that its
+    # residual overflows
+    step, calls = solvers.efista_step, []
+
+    def overflowing_step(state, cfg, problem):
+        state = step(state, cfg, problem)
+        calls.append(cfg)
+        if len(calls) == 2:
+            state.x = 1e200 * state.x
+            state.cx = None if state.cx is None else 1e200 * state.cx
+        return state
+
+    monkeypatch.setattr(solvers, "efista_step", overflowing_step)
+    x, trace = run_solver(cfg, b, psf)
     assert trace.diverged
+    assert len(calls) == 2 and len(trace) == 1  # the overflowing step is not recorded
+    assert np.all(np.isfinite(x))
+
+
+def test_nonfinite_initial_objective_is_rejected_before_the_first_step(monkeypatch,
+                                                                       tiny_problem):
+    from proxdeblur import solvers
+
+    def no_step(*args):
+        raise AssertionError("a step ran from a non-finite objective")
+
+    psf, b = tiny_problem
+    monkeypatch.setattr(solvers, "efista_step", no_step)
+    with pytest.raises(ValueError, match=r"^the objective at x0 is not finite \(inf\)"):
+        run_solver(SolverConfig(variant="fista", max_iters=5, wavelet_levels=2),
+                   b, psf, x0=1e200 * np.ones_like(b) + b)
 
 
 @pytest.mark.parametrize("arg", ["b", "x0"])

@@ -7,6 +7,7 @@ from oracle import densify_blur, dense_Wn
 from proxdeblur.linop import dct2, gradient, idct2, operator_spectrum, spectral_decompose
 from proxdeblur.weighting import (
     MAX_ORDER,
+    STEP_TOL,
     _phi_binomial_exact,
     apply_weighted_gradient_nstep,
     binomial_filter_weights,
@@ -101,6 +102,14 @@ def test_filter_bounds_property(n, seed):
     phi = build_filter(mu, n)
     assert phi.min() >= 1.0 - 1e-12
     assert phi.max() <= n + 1e-12
+
+
+def test_filter_is_exactly_one_over_mu_at_and_past_one():
+    # mu = 1, and mu past 1 by less than the step tolerance, clip to 1
+    # inside the logarithm, where the closed form reduces to 1/mu
+    mu = np.array([1.0, 1.0 + STEP_TOL / 2])
+    for n in range(1, MAX_ORDER + 1):
+        assert np.array_equal(build_filter(mu, n), 1.0 / mu), n
 
 
 def test_build_filter_rejects_overstepped_spectrum(psf31):
