@@ -109,7 +109,12 @@ class Scenario:
 
 def add_awgn(x, sigma, seed):
     """x plus seeded white Gaussian noise of standard deviation sigma, always a new array."""
-    if not math.isfinite(sigma) or sigma < 0:
+    try:
+        finite = math.isfinite(sigma)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("noise sigma must be nonnegative and finite,"
+                         " got an int too large for a float") from None
+    if not finite or sigma < 0:
         raise ValueError(f"noise sigma must be nonnegative and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)

@@ -1,20 +1,26 @@
-"""Blur operator with reflexive boundaries, its adjoint, and DCT spectral form.
+"""Blur operator with reflexive boundaries, its adjoint, and its spectral forms.
 
 The measurement operator is a 2D correlation with a small normalized kernel,
 extended at the borders by half-sample symmetric (reflexive) mirroring.  A
-kernel takes one of three routes, chosen once per Psf from its taps.  For
-kernels that are flip-symmetric in both axes this operator is diagonalized by
-the orthonormal 2D DCT-II, A = C^T diag(lam) C, so every product with A or
-A^T becomes a pointwise product in the DCT domain.  Other kernels are applied
-in the spatial domain: a rank-one kernel (taps = outer(col, row)) as two 1-D
-passes, any other as one 2-D correlation.  OperatorPlan holds what a
-solver run needs of A, and each Psf keeps the plans built from it, so a
-plan lives as long as its kernel.  operator_spectrum is the n = 1 plan of
-a (kernel, shape): lam (from spectral_decompose) and lambda_max(A^T A),
-which for other kernels comes from one Lanczos solve on the matrix-free
-A^T A.  lambda_max_AtA reads it, and weighting.operator_plan adds the W_n
-filter for n > 1.  make_gaussian_psf hands out one Psf per (size, sigma),
-so the commands share its plans across calls.
+kernel takes one of three routes, chosen once per Psf from its taps, and
+two of them diagonalize A so that every product with A or A^T becomes a
+pointwise product on spectral coefficients:
+
+- a kernel flip-symmetric in both axes: the orthonormal 2D DCT-II,
+  A = C^T diag(lam) C (spectral_decompose);
+- a rank-one kernel without that symmetry (taps = outer(col, row)): A X =
+  Ac X Ar^T, with Ac and Ar the 1-D correlations with col and row, and the
+  SVDs Ac = Pc Sc Qc^T, Ar = Pr Sr Qr^T give Pc^T (A X) Pr = lam * (Qc^T X
+  Qr) with lam = outer(sc, sr) (kronecker_decompose);
+- any other kernel: no spectral form; A is one 2-D correlation and
+  lambda_max(A^T A) comes from one Lanczos solve on the matrix-free A^T A.
+
+OperatorPlan holds what a solver run needs of A, including the transform
+pair of a spectral form, and each Psf keeps the plans built from it, so a
+plan lives as long as its kernel.  operator_spectrum is the n = 1 plan of a
+(kernel, shape); lambda_max_AtA reads it, and weighting.operator_plan adds
+the W_n filter for n > 1.  make_gaussian_psf hands out one Psf per (size,
+sigma), so the commands share its plans across calls.
 """
 
 import functools
@@ -36,6 +42,7 @@ __all__ = [
     "dct2",
     "idct2",
     "spectral_decompose",
+    "kronecker_decompose",
     "lambda_max_AtA",
     "OperatorPlan",
     "operator_spectrum",
@@ -73,14 +80,14 @@ def require_gaussian_sigma(name, sigma):
     """Raise ValueError naming `name` unless sigma is a positive real whose
     square is a positive finite float (a bool is not), the widths whose
     Gaussian taps are finite."""
+    message = f"{name} must be positive and finite, with a square in the float range, got"
     # a product of floats: float ** raises on overflow, and a numpy scalar warns
     try:
         square = float(sigma) * float(sigma) if isinstance(sigma, numbers.Real) else math.nan
-    except OverflowError:  # an int beyond the float range
-        square = math.inf
+    except OverflowError:  # an int beyond the float range, too long to print
+        raise ValueError(f"{message} an int too large for a float") from None
     if isinstance(sigma, bool) or not (0 < square < math.inf and sigma > 0):
-        raise ValueError(f"{name} must be positive and finite, with a square "
-                         f"in the float range, got {sigma!r}")
+        raise ValueError(f"{message} {sigma!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +106,9 @@ class Psf:
     factors : (ndarray, ndarray) or None
         Read-only (col, row) with taps = outer(col, row) to within
         _SYMMETRY_TOL per tap, set when the kernel is rank one and not
-        doubly symmetric, so blur_apply and blur_adjoint run two 1-D passes;
-        None otherwise.  Derived from taps.
+        doubly symmetric, so its plan is the Kronecker one
+        (kronecker_decompose) and blur_apply runs two 1-D passes; None
+        otherwise.  Derived from taps.
     """
 
     size: int
@@ -228,10 +236,8 @@ def blur_adjoint(psf, y):
 
     The forward blur is reflect-pad followed by a valid correlation, so the
     adjoint is a full convolution of the zero-padded y followed by folding
-    the padded margin back onto its mirror sources.  With rank-one factors
-    the full convolution is two 1-D convolutions, the adjoints of
-    blur_apply's passes in reverse order.  For flip-symmetric kernels this
-    coincides with blur_apply.
+    the padded margin back onto its mirror sources.  For flip-symmetric
+    kernels this coincides with blur_apply.
     """
     y = _check_operands(psf, y)
     if psf.size == 1:
@@ -239,20 +245,15 @@ def blur_adjoint(psf, y):
     pad = psf.size // 2
     padded = np.zeros((y.shape[0] + 2 * pad, y.shape[1] + 2 * pad))
     padded[pad:-pad, pad:-pad] = y
-    if psf.factors is None:
-        full = ndimage.convolve(padded, psf.taps, mode="constant")
-    else:
-        col, row = psf.factors
-        full = ndimage.convolve1d(ndimage.convolve1d(padded, row, axis=1, mode="constant"),
-                                  col, axis=0, mode="constant")
+    full = ndimage.convolve(padded, psf.taps, mode="constant")
     return _fold_rows(_fold_rows(full.T, pad).T, pad)
 
 
 def gradient(psf, x, b):
     """Gradient of the data term f(x) = 1/2 ||Ax - b||^2, i.e. A^T(Ax - b),
-    as blur_apply then blur_adjoint, each two 1-D passes when the kernel is
-    rank one.  The n-step recursion calls it for kernels with no DCT form;
-    the solver's DCT-domain step has the gradient in its own expression.
+    as blur_apply then blur_adjoint.  The n-step recursion calls it for
+    kernels with no spectral form; the solver's spectral step has the
+    gradient in its own expression.
     """
     x = _check_operands(psf, x)
     b = np.asarray(b, dtype=float)
@@ -283,7 +284,7 @@ def spectral_decompose(psf, shape):
     ------
     ValueError
         If the kernel is not flip-symmetric in both axes (A has no DCT form
-        then; the solver takes the matrix-free n-step recursion).
+        then).
     ArithmeticError
         If the self-check against the spatial operator fails.
     """
@@ -321,9 +322,8 @@ def _lanczos_lambda_max(psf, shape):
 
 def lambda_max_AtA(psf, width, height):
     """Largest eigenvalue of A^T A on height x width images, read from the
-    kernel's operator_spectrum: from the DCT eigenvalues when the kernel is
-    doubly symmetric, from a Lanczos solve otherwise; both are exact to
-    round-off."""
+    kernel's operator_spectrum: the largest lam^2 on both spectral routes,
+    a Lanczos solve otherwise; exact to round-off either way."""
     return operator_spectrum(psf, (height, width)).lambda_max_AtA
 
 
@@ -331,13 +331,19 @@ def lambda_max_AtA(psf, width, height):
 class OperatorPlan:
     """Everything a solver run needs to know about its operator.
 
-    With a DCT form (doubly symmetric kernel) lam holds the signed DCT
-    eigenvalues of A, phi the W_n filter at mu = eta lam^2 (1.0 when
-    n = 1), gain = phi * lam, the factor the DCT-domain step applies to its
-    residual, and lambda_max_W = max phi, attained at the smallest mu.
-    Without one those three are None and lambda_max_W is n.
-    lambda_max_AtA is the largest of lam^2, or the Lanczos eigenvalue
-    otherwise, exact to round-off either way.
+    A spectral form is an orthonormal transform pair with
+    forward_data(A x) = lam * forward(x).  On the DCT route forward and
+    forward_data are dct2, inverse is idct2 and lam holds the signed DCT
+    eigenvalues of A.  On the Kronecker route basis = (Pc, Qc, Pr, Qr)
+    (kronecker_decompose): forward(x) = Qc^T x Qr, inverse(c) = Qc c Qr^T,
+    forward_data(b) = Pc^T b Pr, and lam = outer(sc, sr) >= 0.  phi is the
+    W_n filter at mu = eta lam^2 (1.0 when n = 1), gain = phi * lam the
+    factor the spectral step applies to its residual, and lambda_max_W =
+    max phi, exact on both routes.  Without a spectral form (a full-rank
+    kernel without flip symmetry) lam, phi and gain are None, the transform
+    pair is not used, and lambda_max_W is its bound n.  lambda_max_AtA is
+    the largest of lam^2, or the Lanczos eigenvalue otherwise, exact to
+    round-off either way.
     """
 
     lambda_max_AtA: float
@@ -345,23 +351,85 @@ class OperatorPlan:
     lam: np.ndarray | None = None
     phi: np.ndarray | float | None = None
     gain: np.ndarray | None = None
+    basis: tuple | None = None
+
+    # dct2 and idct2 are looked up at call time, so a wrapper put in their
+    # place on this module sees every transform a step makes
+    def forward(self, x):
+        """Spectral coefficients of an iterate x."""
+        if self.basis is None:
+            return dct2(x)
+        _, qc, _, qr = self.basis
+        return qc.T @ x @ qr
+
+    def inverse(self, c):
+        """The iterate whose spectral coefficients are c."""
+        if self.basis is None:
+            return idct2(c)
+        _, qc, _, qr = self.basis
+        return qc @ c @ qr.T
+
+    def forward_data(self, b):
+        """Spectral coefficients of data b, the side on which A x reads lam * forward(x)."""
+        if self.basis is None:
+            return dct2(b)
+        pc, _, pr, _ = self.basis
+        return pc.T @ b @ pr
+
+
+def kronecker_decompose(psf, shape):
+    """The n = 1 OperatorPlan of a rank-one kernel (psf.factors set) on
+    (height, width) images.
+
+    With reflexive borders A X = Ac X Ar^T, where Ac (H x H) and Ar (W x W)
+    are the matrices of the 1-D correlations with col and row.  Their SVDs
+    Ac = Pc Sc Qc^T and Ar = Pr Sr Qr^T diagonalize A: Pc^T (A X) Pr =
+    outer(sc, sr) * (Qc^T X Qr).  The plan is verified against the
+    spatial-domain A^T A on a random image before being returned.
+
+    Raises
+    ------
+    ValueError
+        If the kernel is larger than the image, before any SVD.
+    ArithmeticError
+        If the self-check against the spatial operator fails.
+    """
+    x = np.random.default_rng(0).standard_normal(shape)
+    ref = blur_adjoint(psf, blur_apply(psf, x))
+    col, row = psf.factors
+    pc, sc, qct = np.linalg.svd(ndimage.correlate1d(np.eye(shape[0]), col, axis=0, mode="reflect"))
+    pr, sr, qrt = np.linalg.svd(ndimage.correlate1d(np.eye(shape[1]), row, axis=0, mode="reflect"))
+    lam = np.outer(sc, sr)
+    basis = (pc, qct.T, pr, qrt.T)
+    for a in (lam, *basis):
+        a.flags.writeable = False
+    plan = OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
+                        lam=lam, phi=1.0, gain=lam, basis=basis)
+    err = np.linalg.norm(plan.inverse(lam * lam * plan.forward(x)) - ref) / np.linalg.norm(ref)
+    if not err <= 1e-10:
+        raise ArithmeticError(
+            f"Kronecker decomposition self-check failed (relative error {err:.3e})"
+        )
+    return plan
 
 
 def operator_spectrum(psf, shape):
     """The n = 1 OperatorPlan of psf on (height, width) images, kept by psf.
 
-    For a doubly symmetric kernel this is one spectral_decompose (self-check
-    included); otherwise one Lanczos solve (_lanczos_lambda_max).
+    A doubly symmetric kernel gets the DCT plan (spectral_decompose), a
+    rank-one kernel the Kronecker plan (kronecker_decompose), each with its
+    self-check; any other kernel one Lanczos solve (_lanczos_lambda_max).
     """
     h, w = shape
 
     def build():
-        if not psf.is_doubly_symmetric():
-            return OperatorPlan(lambda_max_AtA=_lanczos_lambda_max(psf, shape),
-                                lambda_max_W=1.0)
-        lam = spectral_decompose(psf, shape)
-        lam.flags.writeable = False
-        return OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
-                            lam=lam, phi=1.0, gain=lam)
+        if psf.is_doubly_symmetric():
+            lam = spectral_decompose(psf, shape)
+            lam.flags.writeable = False
+            return OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
+                                lam=lam, phi=1.0, gain=lam)
+        if psf.factors is not None:
+            return kronecker_decompose(psf, shape)
+        return OperatorPlan(lambda_max_AtA=_lanczos_lambda_max(psf, shape), lambda_max_W=1.0)
 
     return psf.plan((h, w), build)

@@ -10,12 +10,16 @@ with S_gamma the wavelet-domain soft threshold.  The four variants are
 structural reductions of this single code path: IFISTA is p = 1, FISTA is
 additionally n = 1, and ISTA drops the momentum extrapolation (y = x).
 
-For a doubly symmetric kernel, A = C^T diag(lam) C with C the orthonormal
-DCT-II, so the gradient step is y - eta idct2(phi lam (lam Cy - Cb)) with
-the W_n filter phi (1 for n = 1).  The step then keeps Cx next to x: Cy
-follows from it by the linearity of the momentum, and the data term is
-1/2 ||lam Cx - Cb||^2 by Parseval.  Other kernels take the matrix-free
-n-step recursion.
+When the operator plan has a spectral form, A maps the orthonormal
+coefficients Qx = plan.forward(x) to lam * Qx in the orthonormal
+coefficients plan.forward_data of the data: Q = D = C, the DCT-II, for a
+doubly symmetric kernel, and the two sides of A's Kronecker SVD for a
+rank-one kernel (linop.OperatorPlan).  The gradient step is then
+y - eta Q^T(phi lam (lam Qy - Db)) with the W_n filter phi (1 for n = 1).
+The step keeps Qx next to x: Qy follows from it by the linearity of the
+momentum, and the data term is 1/2 ||lam Qx - Db||^2 by Parseval.  Other
+kernels, full rank without flip symmetry, take the matrix-free n-step
+recursion.
 
 A run stops after max_iters steps, or early when the objective goes
 non-finite or grows past DIVERGENCE_FACTOR times its initial value.  Its
@@ -31,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linop import blur_apply, dct2, idct2, require_finite, require_int
+from .linop import blur_apply, require_finite, require_int
 from .wavelet import LiftingWorkspace, prox_l1_wavelet, wavelet_depth
 from .weighting import MAX_ORDER, apply_weighted_gradient_nstep, operator_plan
 
@@ -122,9 +126,9 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Problem:
     """What efista_step needs besides the iterates: kernel, data, the run's
-    own wavelet workspace, the operator plan, and cb = dct2(b) when the
-    step runs in the DCT domain, which it does exactly when the plan has a
-    DCT form."""
+    own wavelet workspace, the operator plan, and cb = plan.forward_data(b)
+    when the step runs on spectral coefficients, which it does exactly when
+    the plan has a spectral form."""
 
     psf: object
     b: np.ndarray
@@ -141,7 +145,7 @@ class Problem:
         levels = wavelet_depth(b.shape) if cfg.wavelet_levels is None else cfg.wavelet_levels
         workspace = LiftingWorkspace(b.shape, levels)
         plan = operator_plan(psf, b.shape, cfg.eta, cfg.n)
-        cb = dct2(b) if plan.lam is not None else None
+        cb = plan.forward_data(b) if plan.lam is not None else None
         return cls(psf=psf, b=b, workspace=workspace, plan=plan, cb=cb)
 
 
@@ -149,10 +153,11 @@ class Problem:
 class SolverState:
     """Iterate bundle, updated in place by efista_step.
 
-    x and the momentum point y, their DCTs cx and cy on the DCT path (None
-    otherwise), alpha, and l1, the detail-band l1 of the wavelet
-    coefficients the last prox produced x from (at the start, those of x0
-    itself when lambda > 0; run_solver sets it).
+    x and the momentum point y, their spectral coefficients cx and cy
+    (plan.forward) when the plan has a spectral form (None otherwise),
+    alpha, and l1, the detail-band l1 of the wavelet coefficients the last
+    prox produced x from (at the start, those of x0 itself when lambda > 0;
+    run_solver sets it).
     """
 
     x: np.ndarray
@@ -166,7 +171,7 @@ class SolverState:
     def start(cls, x0, problem):
         """State at iteration 0 from x0 (kept, not copied; y is a copy)."""
         x0 = np.asarray(x0, dtype=float)
-        cx = dct2(x0) if problem.cb is not None else None
+        cx = problem.plan.forward(x0) if problem.cb is not None else None
         return cls(x=x0, y=x0.copy(), alpha=1.0, cx=cx, cy=None if cx is None else cx.copy())
 
 
@@ -199,7 +204,8 @@ def _half_sq(r):
 
 
 def _data_term(state, problem):
-    """1/2 ||A x - b||^2 at the state's x, by Parseval on the DCT path."""
+    """1/2 ||A x - b||^2 at the state's x, by Parseval when the plan has a
+    spectral form."""
     if problem.cb is None:
         return _half_sq(blur_apply(problem.psf, state.x) - problem.b)
     r = problem.plan.lam * state.cx
@@ -240,15 +246,17 @@ def efista_step(state, cfg, problem):
     """One solver step; updates state in place and returns it.
 
     Requires cfg.p to be resolved (a number).  With problem.cb set the
-    gradient step is y - eta idct2(gain * (lam Cy - Cb)) from the operator
-    plan, otherwise the matrix-free n-step recursion.
+    gradient step is y - eta plan.inverse(gain * (lam Qy - cb)) on the
+    spectral coefficients Qy = state.cy, the same on the DCT and the
+    Kronecker route, otherwise the matrix-free n-step recursion.
     """
     y = state.y
+    plan = problem.plan
     if problem.cb is not None:
-        r = problem.plan.lam * state.cy
+        r = plan.lam * state.cy
         r -= problem.cb
-        r *= problem.plan.gain
-        z = idct2(r)
+        r *= plan.gain
+        z = plan.inverse(r)
         z *= cfg.eta
         np.subtract(y, z, out=z)
     else:
@@ -258,7 +266,7 @@ def efista_step(state, cfg, problem):
         x_new, state.l1 = prox_l1_wavelet(z, gamma, problem.workspace)
     else:
         x_new = z
-    cx_new = None if problem.cb is None else dct2(x_new)
+    cx_new = None if problem.cb is None else plan.forward(x_new)
     alpha_new = momentum_alpha(state.alpha)
     if cfg.variant is Variant.ISTA:
         state.y, state.cy = x_new, cx_new

@@ -6,7 +6,8 @@ descent steps on the least squares data term:
     (I - eta A^T A)^n = I - eta W_n A^T A,
     W_n = sum_{i=1..n} C(n,i) (-1)^(i-1) (eta A^T A)^(i-1).
 
-In the DCT eigenbasis W_n acts as the scalar filter
+In the eigenbasis of A^T A, the DCT basis or the Kronecker basis of a
+rank-one kernel (linop.OperatorPlan), W_n acts as the scalar filter
 
     phi(mu) = (1 - (1 - mu)^n) / mu,   mu = eigenvalue of eta A^T A,
 
@@ -14,10 +15,11 @@ which build_filter evaluates in a cancellation-free form.  operator_plan is
 the one path from a (kernel, shape, eta, n) to what a solver run needs, a
 linop.OperatorPlan: for every order and kernel it checks eta against
 lambda_max(A^T A) of the n = 1 plan, operator_spectrum, to within STEP_TOL,
-and for n > 1 adds phi, the step's gain phi * lam and lambda_max(W_n).
-The kernel keeps every plan built from it (linop.Psf.plan).  The
-matrix-free n-step recursion is the exact fallback for operators with no
-DCT form.
+and for n > 1 adds phi, the step's gain phi * lam and lambda_max(W_n), the
+same way on both spectral routes.  The kernel keeps every plan built from
+it (linop.Psf.plan).  The matrix-free n-step recursion is the exact
+fallback for operators with no spectral form: full-rank kernels without
+flip symmetry.
 """
 
 import math
@@ -151,9 +153,9 @@ def operator_plan(psf, shape, eta, n):
     and order n.
 
     For n = 1 that is operator_spectrum itself.  Otherwise a kernel with no
-    DCT form only changes lambda_max_W to n, and a DCT plan gets the W_n
-    filter from build_filter, kept by the kernel per (shape, eta, n), so
-    its self-checks run once per plan.
+    spectral form only changes lambda_max_W to n, and a DCT or Kronecker
+    plan gets the W_n filter from build_filter, kept by the kernel per
+    (shape, eta, n), so its self-checks run once per plan.
 
     Raises
     ------

@@ -3,9 +3,10 @@ that produced them.
 
 tests/golden/library.json holds run_solver on fixed small problems.  Each
 case is one variant (ista, fista, ifista, efista; n = 8 where the variant
-takes it) on one kernel route (DCT, separable spatial, 2-D spatial) at one
-shape, with eta = 0.9 / lambda_max(A^T A).  A case records its objectives
-at %.17g and a SHA-256 of the final iterate's float64 bytes;
+takes it) on one kernel route (DCT; Kronecker, for the rank-one kernel
+named separable; 2-D n-step) at one shape, with eta = 0.9 /
+lambda_max(A^T A).  A case records its objectives at %.17g and a SHA-256
+of the final iterate's float64 bytes;
 tests/test_golden.py recomputes every case and compares.
 
 tests/golden/scenarios.json holds the CLI on each scenarios/*.cfg, run in

@@ -52,8 +52,8 @@ def test_a_second_round_of_each_workload_builds_no_plan(monkeypatch, tmp_path, n
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, fn_name in ((pd.linop, "spectral_decompose"), (pd.linop, "_lanczos_lambda_max"),
-                            (pd.weighting, "build_filter")):
+    for module, fn_name in ((pd.linop, "spectral_decompose"), (pd.linop, "kronecker_decompose"),
+                            (pd.linop, "_lanczos_lambda_max"), (pd.weighting, "build_filter")):
         monkeypatch.setattr(module, fn_name, counted(fn_name, getattr(module, fn_name)))
     assert all(one_round())
     assert calls == []

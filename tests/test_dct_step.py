@@ -85,3 +85,29 @@ def test_dct_step_matches_nstep_route_and_reports_its_l1(size, levels, hk, wk, n
     assert close(state.x, want, 1e-10)
     l1 = l1_norm_wavelet(state.x, levels)
     assert abs(state.l1 - l1) <= 1e-12 * l1
+
+
+def test_the_dct_route_calls_the_transforms_where_linop_binds_them(monkeypatch, psf74):
+    # the benchmark's tracer counts the DCT layer by wrapping linop.dct2 and
+    # linop.idct2, so the plan must look them up there at every call
+    from proxdeblur import linop
+
+    b = np.random.default_rng(0).uniform(0.0, 1.0, (32, 32))
+    cfg = SolverConfig(variant="efista", eta=1.0, lam=1e-3, n=8, p=2.0)
+    operator_plan(psf74, b.shape, cfg.eta, cfg.n)  # built before counting
+    calls = {"dct2": 0, "idct2": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linop, name, counted(name, getattr(linop, name)))
+    problem = Problem.build(cfg, b, psf74)
+    state = SolverState.start(b.copy(), problem)
+    for _ in range(3):
+        state = efista_step(state, cfg, problem)
+    # dct2 of b and of x0, then one idct2 and one dct2 per step
+    assert calls == {"dct2": 2 + 3, "idct2": 3}

@@ -184,6 +184,11 @@ def test_int_sigmas_past_the_float_range_are_rejected_by_name():
             Scenario(image_id="x", **{key: 10**400})
     with pytest.raises(ValueError, match="^psf sigma must be positive and finite"):
         make_gaussian_psf(7, 10**400)
+    # past Python's 4300-digit limit on printing an int, the message must not print it
+    with pytest.raises(ValueError, match="^psf sigma must be positive and finite.*too large"):
+        make_gaussian_psf(7, 10**5000)
+    with pytest.raises(ValueError, match="^noise sigma must be nonnegative and finite"):
+        add_awgn(np.zeros((4, 4)), 10**400, 0)
 
 
 @pytest.fixture(scope="module")

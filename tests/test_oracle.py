@@ -13,7 +13,7 @@ from oracle import (
     route_kernels,
     soft_threshold,
 )
-from proxdeblur.linop import Psf, blur_apply
+from proxdeblur.linop import Psf, blur_apply, operator_spectrum
 from proxdeblur.solvers import (
     Problem,
     SolverConfig,
@@ -98,11 +98,12 @@ def test_dense_wavelet_matrices_match_fast_path(rng):
     assert np.abs(syn.entries @ ana.entries - np.eye(64)).max() < 1e-9
 
 
-def march_dense_and_solver(rng, psf, A, eta, variant, n, p):
+def march_dense_and_solver(rng, psf, A, eta, variant, n, p, shape=(8, 8)):
     """20 steps of efista_step and of dense_solver_step from the same noisy
-    8x8 data (lam = 1e-3, two wavelet levels); their alphas agree to 1e-12
-    at every step and their final x to 1e-8.  Returns the solver's Problem."""
-    h = w = 8
+    data of the given shape (lam = 1e-3, two wavelet levels); their alphas
+    agree to 1e-12 at every step and their final x to 1e-8.  Returns the
+    solver's Problem."""
+    h, w = shape
     lam, levels = 1e-3, 2
     cfg = SolverConfig(variant=variant, eta=eta, lam=lam, n=n, p=p,
                        wavelet_levels=levels)
@@ -144,8 +145,36 @@ def test_dense_step_matches_solver_step_on_the_nstep_routes(rng, route, variant,
     A = densify_blur(psf, 8, 8, blur=direct_blur)
     eta = 0.9 / np.linalg.eigvalsh(A.entries.T @ A.entries).max()
     problem = march_dense_and_solver(rng, psf, A, eta, variant, n, p)
-    assert problem.cb is None
     assert (psf.factors is not None) == (route == "separable")
+    if route == "separable":  # the Kronecker plan
+        assert problem.cb is not None and problem.plan.basis is not None
+    else:  # the n-step recursion
+        assert problem.cb is None and problem.plan.lam is None
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (12, 8)])
+@pytest.mark.parametrize("n,p", [(1, 1.0), (2, 2.0), (8, 2.0)])
+def test_dense_step_matches_solver_step_on_the_kronecker_route(rng, shape, n, p):
+    # non-square shapes tell the column factor's basis from the row factor's
+    psf = route_kernels()["separable"]
+    h, w = shape
+    A = densify_blur(psf, w, h, blur=direct_blur)
+    eta = 0.9 / np.linalg.eigvalsh(A.entries.T @ A.entries).max()
+    problem = march_dense_and_solver(rng, psf, A, eta, "efista", n, p, shape)
+    assert problem.plan.basis is not None
+
+
+def test_a_corrupted_kronecker_basis_fails_the_self_check(monkeypatch):
+    svd = np.linalg.svd
+
+    def corrupted(a):
+        u, s, vt = svd(a)
+        return u, s * 1.01, vt
+
+    monkeypatch.setattr(np.linalg, "svd", corrupted)
+    psf = route_kernels()["separable"]
+    with pytest.raises(ArithmeticError, match="Kronecker decomposition self-check failed"):
+        operator_spectrum(psf, (8, 12))
 
 
 def test_dense_step_reduces_to_gradient_descent(rng, psf31):
