@@ -49,11 +49,11 @@ def _nonempty(text):
     return text
 
 
-def _seed(text):
-    seed = int(text)
-    if seed < 0:
+def _count(text):
+    count = int(text)
+    if count < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return seed
+    return count
 
 
 def _list_of(parse):
@@ -75,14 +75,14 @@ _KEYS = {
     "p": (_auto_float, None, None),
     "eta": (float, Scenario.eta, "eta"),
     "lambda": (_auto_float, Scenario.lam, "lam"),
-    "iterations": (int, Scenario.K, "K"),
+    "iterations": (_count, Scenario.K, "K"),
     "trials": (int, Scenario.trials, "trials"),
-    "seed": (_seed, Scenario.seed, "seed"),
+    "seed": (_count, Scenario.seed, "seed"),
     "out": (_nonempty, "out", None),
     "images": (_list_of(str), STANDARD_IMAGES, None),
     "images_dir": (str, None, None),
     "noise_levels": (_list_of(float), (0.01, 0.001), None),
-    "K_values": (_list_of(int), (45, 180), None),
+    "K_values": (_list_of(_count), (45, 180), None),
     "iter_divisor": (int, Scenario.iter_divisor, "iter_divisor"),
     "variants": (_list_of(str), ("fista", "ifista", "efista"), None),
     "n_values": (_list_of(int), (Scenario.n,), None),
@@ -256,7 +256,7 @@ def main(argv=None):
         sp.add_argument("--config", required=True, help="path to a key = value config file")
         sp.add_argument("--out", type=_nonempty, default=None,
                         help="output directory (overrides config)")
-        sp.add_argument("--seed", type=_seed, default=None, help="base seed (overrides config)")
+        sp.add_argument("--seed", type=_count, default=None, help="base seed (overrides config)")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     try:

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .linop import (blur_apply, idct2, make_gaussian_psf, require_finite,
-                    require_gaussian_sigma, require_int)
+                    require_gaussian_sigma, require_int, require_kernel_size)
 from .pgmio import read_pgm
 from .solvers import SolverConfig, Variant, psnr, run_solver, runs_diverged
 from .wavelet import wavelet_depth
@@ -80,8 +80,9 @@ class Scenario:
         for name in ("noise_sigma", "psf_sigma"):
             require_finite(name, getattr(self, name))
         require_gaussian_sigma("psf_sigma", self.psf_sigma)
-        for name in ("K", "trials", "seed", "iter_divisor", "psf_size", "image_size"):
+        for name in ("K", "trials", "seed", "iter_divisor", "image_size"):
             require_int(name, getattr(self, name))
+        require_kernel_size("psf_size", self.psf_size)
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         sigma = float(self.noise_sigma)  # a float product: ** would raise on overflow
@@ -355,7 +356,7 @@ def run_p_sweep(scenario, n, p_values, probe_iter, out_dir=None, images_dir=None
     """
     if not 1 <= probe_iter <= scenario.K:
         raise ValueError(
-            f"probe_iter must be in [1, K={scenario.K}], got {probe_iter}")
+            f"probe_iter must be in [1, iterations = {scenario.K}], got {probe_iter}")
     configs = [scenario.solver_config(Variant.EFISTA, n, float(p), scenario.K)
                for p in p_values]
     results = run_settings([(scenario, cfg) for cfg in configs], images_dir)

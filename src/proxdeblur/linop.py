@@ -47,6 +47,7 @@ __all__ = [
     "OperatorPlan",
     "operator_spectrum",
     "require_int",
+    "require_kernel_size",
     "require_finite",
     "require_gaussian_sigma",
 ]
@@ -62,6 +63,13 @@ def require_int(name, value):
     (a bool is not)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_kernel_size(name, size):
+    """Raise ValueError naming `name` unless size is a positive odd integer."""
+    require_int(name, size)
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"{name} must be a positive odd integer, got {size}")
 
 
 def require_finite(name, value):
@@ -119,12 +127,10 @@ class Psf:
     _lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self):
-        require_int("psf size", self.size)
+        require_kernel_size("psf size", self.size)
         taps = np.array(self.taps, dtype=float)
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
-        if self.size < 1 or self.size % 2 == 0:
-            raise ValueError(f"psf size must be a positive odd integer, got {self.size}")
         if taps.shape != (self.size, self.size):
             raise ValueError(f"taps shape {taps.shape} does not match size {self.size}")
         if not np.all(np.isfinite(taps)):
@@ -181,9 +187,7 @@ def make_gaussian_psf(size, sigma):
     taps_ij is proportional to exp(-((i-c)^2 + (j-c)^2) / (2 sigma^2)) with
     c = (size-1)/2, normalized to unit sum.
     """
-    require_int("psf size", size)
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"psf size must be a positive odd integer, got {size}")
+    require_kernel_size("psf size", size)
     require_gaussian_sigma("psf sigma", sigma)
     c = (size - 1) / 2
     i = np.arange(size)
@@ -262,14 +266,15 @@ def gradient(psf, x, b):
     return blur_adjoint(psf, blur_apply(psf, x) - b)
 
 
-def dct2(x):
-    """Orthonormal 2D DCT-II."""
-    return dctn(x, type=2, norm="ortho")
+def dct2(x, overwrite_x=False):
+    """Orthonormal 2D DCT-II.  With overwrite_x a contiguous float x is
+    transformed in its own memory."""
+    return dctn(x, type=2, norm="ortho", overwrite_x=overwrite_x)
 
 
-def idct2(x):
-    """Inverse of dct2."""
-    return idctn(x, type=2, norm="ortho")
+def idct2(x, overwrite_x=False):
+    """Inverse of dct2, with the same overwrite_x."""
+    return idctn(x, type=2, norm="ortho", overwrite_x=overwrite_x)
 
 
 def spectral_decompose(psf, shape):
@@ -355,19 +360,25 @@ class OperatorPlan:
 
     # dct2 and idct2 are looked up at call time, so a wrapper put in their
     # place on this module sees every transform a step makes
-    def forward(self, x):
-        """Spectral coefficients of an iterate x."""
+    def forward(self, x, out=None):
+        """Spectral coefficients of an iterate x, in out if given (the DCT
+        route copies x there and transforms it in place); x is kept."""
         if self.basis is None:
-            return dct2(x)
+            if out is None:
+                out = np.array(x, dtype=float)
+            else:
+                out[...] = x
+            return dct2(out, overwrite_x=True)
         _, qc, _, qr = self.basis
-        return qc.T @ x @ qr
+        return np.matmul(qc.T @ x, qr, out=out)
 
     def inverse(self, c):
-        """The iterate whose spectral coefficients are c."""
+        """The iterate whose spectral coefficients are c, in c's memory: c
+        is overwritten.  The Kronecker route makes one intermediate."""
         if self.basis is None:
-            return idct2(c)
+            return idct2(c, overwrite_x=True)
         _, qc, _, qr = self.basis
-        return qc @ c @ qr.T
+        return np.matmul(qc @ c, qr.T, out=c)
 
     def forward_data(self, b):
         """Spectral coefficients of data b, the side on which A x reads lam * forward(x)."""

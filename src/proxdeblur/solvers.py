@@ -21,6 +21,17 @@ momentum, and the data term is 1/2 ||lam Qx - Db||^2 by Parseval.  Other
 kernels, full rank without flip symmetry, take the matrix-free n-step
 recursion.
 
+A run allocates its image-sized arrays once, in SolverState.start: x, y, a
+spare, Qx and Qy.  A step runs in them and rotates them.  On the spectral
+routes the residual and its inverse transform are formed in Qy's buffer,
+z = y - eta (that) in y's, and the prox writes the new x over z; Qx of it
+goes where Qy was, the new y into the spare and the new Qy over the old
+Qx.  The old x is not written, so a run that stops on a non-finite step
+returns it.  A step, its data term and its PSNR thus allocate nothing
+image-sized on the DCT route, and one matmul intermediate per transform on
+the Kronecker route; the data term and the PSNR use the workspace's
+scratch buffer, which is idle between prox calls.
+
 A run stops after max_iters steps, or early when the objective goes
 non-finite or grows past DIVERGENCE_FACTOR times its initial value.  Its
 trace is one numpy record array with a row per recorded step.
@@ -153,15 +164,17 @@ class Problem:
 class SolverState:
     """Iterate bundle, updated in place by efista_step.
 
-    x and the momentum point y, their spectral coefficients cx and cy
-    (plan.forward) when the plan has a spectral form (None otherwise),
-    alpha, and l1, the detail-band l1 of the wavelet coefficients the last
-    prox produced x from (at the start, those of x0 itself when lambda > 0;
-    run_solver sets it).
+    x and the momentum point y, spare, the buffer the next step writes its
+    y into, their spectral coefficients cx and cy (plan.forward) when the
+    plan has a spectral form (None otherwise), alpha, and l1, the
+    detail-band l1 of the wavelet coefficients the last prox produced x
+    from (at the start, those of x0 itself when lambda > 0; run_solver sets
+    it).  The arrays are the run's own, rotated by every step.
     """
 
     x: np.ndarray
     y: np.ndarray
+    spare: np.ndarray
     alpha: float
     cx: np.ndarray | None = None
     cy: np.ndarray | None = None
@@ -169,10 +182,11 @@ class SolverState:
 
     @classmethod
     def start(cls, x0, problem):
-        """State at iteration 0 from x0 (kept, not copied; y is a copy)."""
-        x0 = np.asarray(x0, dtype=float)
-        cx = problem.plan.forward(x0) if problem.cb is not None else None
-        return cls(x=x0, y=x0.copy(), alpha=1.0, cx=cx, cy=None if cx is None else cx.copy())
+        """State at iteration 0 from a copy of x0, which is never written."""
+        x = np.array(x0, dtype=float)
+        cx = problem.plan.forward(x) if problem.cb is not None else None
+        return cls(x=x, y=x.copy(), spare=np.empty_like(x), alpha=1.0, cx=cx,
+                   cy=None if cx is None else cx.copy())
 
 
 @dataclass
@@ -198,30 +212,33 @@ class IterationTrace:
 
 
 def _half_sq(r):
-    """1/2 ||r||^2.  Overflow to inf is fine; the divergence guard feeds on it."""
+    """1/2 ||r||^2, squaring r in place.  Overflow to inf is fine; the
+    divergence guard feeds on it."""
     with np.errstate(over="ignore"):
-        return 0.5 * float((r * r).sum())
+        return 0.5 * float(np.multiply(r, r, out=r).sum())
 
 
 def _data_term(state, problem):
-    """1/2 ||A x - b||^2 at the state's x, by Parseval when the plan has a
-    spectral form."""
+    """1/2 ||A x - b||^2 at the state's x, by Parseval in the workspace's
+    scratch when the plan has a spectral form."""
     if problem.cb is None:
         return _half_sq(blur_apply(problem.psf, state.x) - problem.b)
-    r = problem.plan.lam * state.cx
+    r = np.multiply(problem.plan.lam, state.cx, out=problem.workspace.scratch)
     r -= problem.cb
     return _half_sq(r)
 
 
-def psnr(x, reference):
+def psnr(x, reference, scratch=None):
     """Peak signal-to-noise ratio in dB with peak 1.0, capped at 200 dB, and
-    -inf when the mean squared error overflows."""
+    -inf when the mean squared error overflows.  The squared error is
+    formed in scratch, an array of the shape, when one is given."""
     x = np.asarray(x, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if x.shape != reference.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {reference.shape}")
     with np.errstate(over="ignore"):
-        mse = float(((x - reference) ** 2).mean())
+        d = np.subtract(x, reference, out=scratch)
+        mse = float(np.square(d, out=d).mean())
     if mse < 1e-20:
         return 200.0
     return 10 * math.log10(1.0 / mse) if mse < math.inf else -math.inf
@@ -248,33 +265,36 @@ def efista_step(state, cfg, problem):
     Requires cfg.p to be resolved (a number).  With problem.cb set the
     gradient step is y - eta plan.inverse(gain * (lam Qy - cb)) on the
     spectral coefficients Qy = state.cy, the same on the DCT and the
-    Kronecker route, otherwise the matrix-free n-step recursion.
+    Kronecker route, otherwise the matrix-free n-step recursion.  The step
+    runs in the state's own arrays and rotates them; it never writes the
+    old x.
     """
-    y = state.y
-    plan = problem.plan
+    x, y, plan = state.x, state.y, problem.plan
     if problem.cb is not None:
-        r = plan.lam * state.cy
+        r = np.multiply(plan.lam, state.cy, out=state.cy)
         r -= problem.cb
         r *= plan.gain
         z = plan.inverse(r)
         z *= cfg.eta
-        np.subtract(y, z, out=z)
+        np.subtract(y, z, out=y)
     else:
-        z = apply_weighted_gradient_nstep(problem.psf, y, problem.b, cfg.eta, cfg.n)
+        y[...] = apply_weighted_gradient_nstep(problem.psf, y, problem.b, cfg.eta, cfg.n)
+    x_new = y  # z, until the prox writes the new x over it
     gamma = cfg.p * cfg.lam * cfg.eta
     if gamma > 0:
-        x_new, state.l1 = prox_l1_wavelet(z, gamma, problem.workspace)
-    else:
-        x_new = z
-    cx_new = None if problem.cb is None else plan.forward(x_new)
+        x_new, state.l1 = prox_l1_wavelet(y, gamma, problem.workspace, out=y)
+    cx_new = None if problem.cb is None else plan.forward(x_new, out=state.cy)
     alpha_new = momentum_alpha(state.alpha)
-    if cfg.variant is Variant.ISTA:
-        state.y, state.cy = x_new, cx_new
-    else:
-        momentum_extrapolate(x_new, state.x, state.alpha, alpha_new, out=y)
-        if cx_new is not None:
-            momentum_extrapolate(cx_new, state.cx, state.alpha, alpha_new, out=state.cy)
-    state.x, state.cx, state.alpha = x_new, cx_new, alpha_new
+    # the new y goes into the spare and the new cy over the old cx
+    for new, old, out in ((x_new, x, state.spare), (cx_new, state.cx, state.cx)):
+        if new is None:
+            continue
+        if cfg.variant is Variant.ISTA:
+            out[...] = new
+        else:
+            momentum_extrapolate(new, old, state.alpha, alpha_new, out=out)
+    state.x, state.y, state.spare = x_new, state.spare, x
+    state.cx, state.cy, state.alpha = cx_new, state.cx, alpha_new
     return state
 
 
@@ -307,7 +327,7 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         does not divide it, or the objective at x0 is not finite.
     """
     b = np.asarray(b, dtype=float)
-    x0 = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    x0 = b if x0 is None else np.asarray(x0, dtype=float)
     truth = None if truth is None else np.asarray(truth, dtype=float)
     for name, arr in (("b", b), ("x0", x0), ("truth", truth)):
         if arr is None:
@@ -321,18 +341,19 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
 
     trace = IterationTrace(np.recarray(cfg.max_iters, dtype=TRACE_DTYPE), config=cfg)
     if cfg.max_iters == 0:
-        return x0, trace
+        return x0.copy(), trace
 
     state = SolverState.start(x0, problem)
+    scratch = problem.workspace.scratch
     if cfg.lam != 0:
-        problem.workspace.analyze(x0)
+        problem.workspace.analyze(state.x)
         state.l1 = problem.workspace.detail_l1()
     # F(x0), by the expression of every step below
     f0 = _data_term(state, problem) + cfg.lam * state.l1
     if not math.isfinite(f0):
         raise ValueError(f"the objective at x0 is not finite ({f0}): b, x0 or lambda"
                          " is too large for float arithmetic")
-    x, rows = x0, 0
+    x, rows = state.x, 0
     while rows < cfg.max_iters and not trace.diverged:
         t0 = time.perf_counter()
         state = efista_step(state, cfg, problem)
@@ -341,9 +362,9 @@ def run_solver(cfg, b, psf, x0=None, truth=None):
         reg = cfg.lam * state.l1
         fval = data + reg
         if math.isfinite(fval):
-            x = state.x  # the step rebinds state.x, never writes into it
+            x = state.x  # the next step writes its new x elsewhere
             trace.records[rows] = (rows + 1, fval, data, reg,
-                                   math.nan if truth is None else psnr(x, truth), dt)
+                                   math.nan if truth is None else psnr(x, truth, scratch), dt)
             rows += 1
         trace.diverged = not math.isfinite(fval) or (f0 > 0 and fval > DIVERGENCE_FACTOR * f0)
     trace.records = trace.records[:rows]

@@ -14,15 +14,16 @@ The transform of one image shape at one depth is a LiftingWorkspace: it
 checks the shape and depth once, when it is built, and holds the buffers
 the lifting runs in.  A solver calls the prox once per iteration, and a
 call that built its own dozens of image-sized temporaries paid more in
-fresh-page faults than in arithmetic; with a workspace the only new array
-per call is the returned image.  Each level lifts its rows where they
+fresh-page faults than in arithmetic; with a workspace a call allocates
+nothing but the image it returns, and nothing at all when it is given the
+array to write that image into.  Each level lifts its rows where they
 lie, then its columns, each pass in a buffer laid out so that the next
 sample along the lifting axis is one fixed flat shift away, so a predict
 or update step is five numpy calls on flat slices and no copy transposes;
 the views of each level are built once per workspace.  The pyramid-layout
 coefficient array hands each level's approximation band on to the next.
 Each solver run makes one workspace and passes it to every
-prox_l1_wavelet call.
+prox_l1_wavelet call, with the buffer the new iterate goes into.
 """
 
 import numpy as np
@@ -185,13 +186,15 @@ class LiftingWorkspace:
     row pairs go in from `_hbuf` as contiguous runs of ww/2.  Synthesis
     copies the same ways back; no copy transposes.  `_hbuf` starts zeroed,
     so the scratch sums in its spare lanes never read uninitialised memory.
-    `_shrink`, the clip and abs buffer of the prox, is the front of
+    `scratch`, the clip and abs buffer of the prox, is the front of
     `_vbuf`; it is idle while the lifting runs, and its corner `_approx`
-    is zeroed there to keep the coarsest band.  `coeffs` keeps the pyramid
-    layout, one level's approximation band feeding the next: it is what
-    `analyze` returns, and `detail_l1` sums it in row-major order, which
-    fixes the rounding of the l1.  `_pairs` is the pair-sum scratch of
-    both passes.  The views of the levels are built by the first call and
+    is zeroed there to keep the coarsest band.  Every call of the
+    workspace overwrites `scratch` and none reads what it held before, so
+    between calls it is an image-sized buffer free for the caller's use.
+    `coeffs` keeps the pyramid layout, one level's approximation band
+    feeding the next: it is what `analyze` returns, and `detail_l1` sums
+    it in row-major order, which fixes the rounding of the l1.  `_pairs`
+    is the pair-sum scratch of both passes.  The views of the levels are built by the first call and
     kept; a call slices nothing inside the workspace.
 
     A workspace belongs to one solver run: the calls that use it overwrite
@@ -214,8 +217,8 @@ class LiftingWorkspace:
         self._hbuf = np.zeros(h * (w + 2))
         self._vbuf = np.empty((h + 2) * w)
         self._pairs = np.empty(h * (w // 2 + 1))
-        self._shrink = self._vbuf[:h * w].reshape(h, w)
-        self._approx = self._shrink[:h >> levels, :w >> levels]
+        self.scratch = self._vbuf[:h * w].reshape(h, w)
+        self._approx = self.scratch[:h >> levels, :w >> levels]
         self._levels = []
 
     def _level(self, l):
@@ -239,14 +242,16 @@ class LiftingWorkspace:
             lv.coeff_halves[...] = lv.cols.bands
         return self.coeffs
 
-    def synthesize(self):
-        """Image of the coefficients in self.coeffs, as a new array: the
-        exact inverse of analyze.
+    def synthesize(self, out=None):
+        """Image of the coefficients in self.coeffs, in out (a new array
+        when None): the exact inverse of analyze.
 
-        self.coeffs is overwritten; the finest level writes the output.
+        self.coeffs is overwritten; the finest level writes the output, so
+        out may be the image analyze last read.
         """
         h, w = self.shape
-        out = np.empty((h, w))
+        if out is None:
+            out = np.empty((h, w))
         for l in reversed(range(self.levels)):
             lv = self._level(l)
             lv.cols.bands[...] = lv.coeff_halves
@@ -266,18 +271,18 @@ class LiftingWorkspace:
         the clip of the approximation band zeroed so that band is kept.  An
         exact-zero result is +0.0.
         """
-        g = np.clip(self.coeffs, -gamma, gamma, out=self._shrink)
+        g = np.clip(self.coeffs, -gamma, gamma, out=self.scratch)
         self._approx.fill(0.0)
         self.coeffs -= g
 
     def detail_l1(self):
         """l1 of self.coeffs over the detail bands; self.coeffs is kept."""
-        a = np.abs(self.coeffs, out=self._shrink)
+        a = np.abs(self.coeffs, out=self.scratch)
         self._approx.fill(0.0)
         return float(a.sum())
 
 
-def prox_l1_wavelet(x, gamma, workspace):
+def prox_l1_wavelet(x, gamma, workspace, out=None):
     """Shrink the wavelet coefficients of x by gamma and transform back, in
     workspace, which fixes the shape and the depth.
 
@@ -285,12 +290,13 @@ def prox_l1_wavelet(x, gamma, workspace):
     shift the mean intensity); all detail bands are shrunk.  Returns
     (image, l1), l1 being the detail-band l1 of the shrunk coefficients,
     which is the detail-band l1 of the image's own coefficients up to
-    rounding.  The returned image is the only new array.
+    rounding.  The image is written into out, which may be x itself; with
+    out = None it is the only new array.
     """
     if not gamma >= 0:  # also catches NaN; inf zeros every detail band
         raise ValueError(f"threshold must be nonnegative, got {gamma}")
     workspace.analyze(x)
     workspace.shrink_details(gamma)
     l1 = workspace.detail_l1()
-    return workspace.synthesize(), l1
+    return workspace.synthesize(out), l1
 

@@ -342,13 +342,18 @@ def test_sigma_past_the_float_range_exits_one_naming_it(tmp_path, key, value):
     ("sweep", dict(n=8, probe_iter=3, p_values="1, 0.5"),
      "threshold scale p must be >= 1, got 0.5"),
     ("sweep", dict(n=8, probe_iter=3, psf_size=4),
-     "psf size must be a positive odd integer, got 4"),
+     "psf_size must be a positive odd integer, got 4"),
     ("table", dict(images="cameraman", noise_levels="0.01", K_values="3", n=0),
      "order n must be >= 1, got 0"),
     ("table", dict(images="cameraman", noise_levels="0.01", K_values="3", n=40),
      "order n must be in [1, 32], got 40"),
-    ("deblur", dict(psf_size=4), "psf size must be a positive odd integer, got 4"),
-], ids=["curves", "curves-n40", "sweep", "sweep-psf4", "table", "table-n40", "deblur-psf4"])
+    ("deblur", dict(psf_size=4), "psf_size must be a positive odd integer, got 4"),
+    # each message names the config key, not the library's K
+    ("deblur", dict(iterations=-1), "c.cfg:4: bad value '-1' for 'iterations'"),
+    ("sweep", dict(n=8, iterations=-1), "c.cfg:4: bad value '-1' for 'iterations'"),
+    ("sweep", dict(n=8, probe_iter=0), "probe_iter must be in [1, iterations = 3], got 0"),
+], ids=["curves", "curves-n40", "sweep", "sweep-psf4", "table", "table-n40", "deblur-psf4",
+        "deblur-iterations", "sweep-iterations", "sweep-probe_iter"])
 def test_every_setting_is_checked_before_the_first_trial(monkeypatch, capsys, tmp_path,
                                                          command, keys, message):
     from proxdeblur import cli, experiments
@@ -357,8 +362,9 @@ def test_every_setting_is_checked_before_the_first_trial(monkeypatch, capsys, tm
         raise AssertionError("image loaded before every setting was checked")
 
     monkeypatch.setattr(experiments, "load_image", no_image)  # every command loads through it
-    cfg = write_cfg(tmp_path / "c.cfg", image="synthetic:lena", size=32, noise_sigma=0.01,
-                    iterations=3, trials=1, out=str(tmp_path / "o"), **keys)
+    base = dict(image="synthetic:lena", size=32, noise_sigma=0.01, iterations=3, trials=1,
+                out=str(tmp_path / "o"))
+    cfg = write_cfg(tmp_path / "c.cfg", **dict(base, **keys))
     assert cli.main([command, "--config", cfg]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -98,9 +98,11 @@ def test_the_dct_route_calls_the_transforms_where_linop_binds_them(monkeypatch, 
     calls = {"dct2": 0, "idct2": 0}
 
     def counted(name, fn):
-        def wrapper(x):
+        # keyword arguments pass through: the plan transforms in place
+        # with overwrite_x
+        def wrapper(x, **kwargs):
             calls[name] += 1
-            return fn(x)
+            return fn(x, **kwargs)
         return wrapper
 
     for name in calls:

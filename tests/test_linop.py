@@ -17,6 +17,7 @@ from proxdeblur.linop import (
     idct2,
     lambda_max_AtA,
     make_gaussian_psf,
+    operator_spectrum,
     spectral_decompose,
 )
 from proxdeblur.weighting import operator_plan
@@ -223,6 +224,27 @@ def test_dct_roundtrip_and_energy(rng):
     c = dct2(x)
     assert np.abs(idct2(c) - x).max() < 1e-12
     assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("route", ["dct", "separable"])
+def test_plan_transforms_run_in_the_buffers_they_are_given(rng, route):
+    # forward(x, out) fills out and keeps x, inverse(c) overwrites c, and
+    # both match the out-of-place products bit for bit
+    plan = operator_spectrum(route_kernels()[route], (16, 24))
+    x = rng.standard_normal((16, 24))
+    kept = x.copy()
+    out = np.empty_like(x)
+    c = plan.forward(x, out=out)
+    assert np.shares_memory(c, out) and np.array_equal(x, kept)
+    if route == "dct":
+        want_c, want_z = dct2(x), idct2(c)
+    else:
+        _, qc, _, qr = plan.basis
+        want_c, want_z = qc.T @ x @ qr, qc @ c @ qr.T
+    assert np.array_equal(c, want_c) and np.array_equal(plan.forward(x), want_c)
+    z = plan.inverse(c)
+    assert np.shares_memory(z, out) and np.array_equal(z, want_z)
+    assert np.abs(z - x).max() < 1e-12
 
 
 def test_spectral_eigenvalues_match_dense(psf31):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracle import (
     l1_norm_wavelet,
     objective,
     rate_check,
+    route_kernels,
     surrogate_Q,
     wnorm_sq,
 )
@@ -19,9 +21,11 @@ from proxdeblur.solvers import (
     SolverConfig,
     SolverState,
     Variant,
+    _data_term,
     efista_step,
     momentum_alpha,
     momentum_extrapolate,
+    psnr,
     run_solver,
     runs_diverged,
 )
@@ -359,6 +363,79 @@ def test_nonfinite_stop_returns_last_recorded_iterate(monkeypatch, request, rng,
     x_ref, tr_ref = run_solver(SolverConfig(max_iters=len(trace), **cfg), b, psf)
     assert np.array_equal(x, x_ref)
     assert trace.objectives().tolist() == tr_ref.objectives().tolist()
+
+
+@pytest.mark.parametrize("route", ["dct", "separable", "2d"])
+def test_callers_arrays_are_never_written(rng, route):
+    # a step rotates the run's own buffers, so an x0 kept rather than
+    # copied would be overwritten two steps later
+    psf = route_kernels()[route]
+    truth = rng.uniform(0, 1, (16, 16))
+    b = blur_apply(psf, truth) + 0.01 * rng.standard_normal(truth.shape)
+    x0 = rng.uniform(0, 1, truth.shape)
+    originals = [a.copy() for a in (b, x0, truth)]
+    for variant in ("ista", "efista"):
+        cfg = SolverConfig(variant=variant, eta=0.9, lam=1e-3, n=4, max_iters=5,
+                           wavelet_levels=2)
+        _, trace = run_solver(cfg, b, psf, x0=x0, truth=truth)
+        problem = Problem.build(trace.config, b, psf)
+        state = SolverState.start(x0, problem)
+        for _ in range(3):
+            state = efista_step(state, trace.config, problem)
+    for array, original in zip((b, x0, truth), originals):
+        assert np.array_equal(array, original)
+
+
+def warm_step_peak(psf, b, cfg):
+    """tracemalloc peak of one efista_step, its data term and its PSNR after
+    two warm-up steps, in bytes above what was held before."""
+    problem = Problem.build(cfg, b, psf)
+    state = SolverState.start(b, problem)
+    scratch = problem.workspace.scratch
+
+    def step():
+        efista_step(state, cfg, problem)
+        _data_term(state, problem)
+        psnr(state.x, b, scratch)
+
+    step()
+    step()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route,images", [("dct", 0.125), ("separable", 1.125)])
+def test_a_warm_spectral_step_allocates_no_image(route, images):
+    # tracemalloc sees numpy's data buffers.  At 256x256 a step, its data
+    # term and its PSNR run in the state's and the workspace's buffers: on
+    # the DCT route nothing image-sized is allocated (an eighth of an image
+    # leaves room for small objects only), and the Kronecker route adds
+    # the one intermediate of its matrix products
+    psf = route_kernels()[route]
+    b = np.random.default_rng(0).uniform(0, 1, (256, 256))
+    cfg = SolverConfig(variant="efista", eta=0.99, lam=1e-3, n=8, p=2.0, wavelet_levels=8)
+    assert warm_step_peak(psf, b, cfg) < images * b.nbytes
+
+
+def test_a_run_holds_under_ten_images(psf74):
+    # x, y, the spare, cx and cy (5 images), the wavelet workspace (3.5
+    # images and two spare rows a side) and cb = dct2(b) (1 image): 9.5
+    # images, with no per-step temporary on top
+    b = np.random.default_rng(0).uniform(0, 1, (256, 256))
+    cfg = SolverConfig(variant="efista", eta=1.0, lam=1e-3, n=8, max_iters=20)
+    run_solver(cfg, b, psf74, truth=b)  # builds the kernel's plan
+    tracemalloc.start()
+    try:
+        run_solver(cfg, b, psf74, truth=b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * b.nbytes
 
 
 def test_step_size_validation(tiny_problem):

@@ -216,11 +216,23 @@ def test_prox_allocates_only_its_result_in_a_warm_workspace(rng):
         tracemalloc.reset_peak()
         out, _ = prox_l1_wavelet(x, 0.1, ws)
         call_peak = tracemalloc.get_traced_memory()[1] - before
+        # given the array to write into, the call allocates nothing
+        buf = np.empty(shape)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        into, _ = prox_l1_wavelet(x, 0.1, ws, out=buf)
+        into_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert steps_peak <= 4096
     assert out.nbytes == image
     assert call_peak <= image + 4096
+    assert into is buf and np.array_equal(buf, out)
+    assert into_peak <= 4096
+    # out may be x itself: analysis has read all of x before synthesis writes
+    same = x.copy()
+    prox_l1_wavelet(same, 0.1, ws, out=same)
+    assert np.array_equal(same, out)
 
 
 def test_workspace_shape_must_match_image():
