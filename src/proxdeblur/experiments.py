@@ -12,7 +12,7 @@ and TABLE_HEADER names the columns of table.csv and the rendered table.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -199,23 +199,53 @@ def load_image(image_id, images_dir=None, size=Scenario.image_size):
     return synthetic_image(image_id, size)
 
 
-def _run_trial(truth, psf, scenario, cfg, trial):
-    """(x, trace, b, psnr of x) of trial `trial` of cfg on scenario: b is truth
-    blurred and with the noise of seed + trial, and the run starts from it."""
-    b = add_awgn(blur_apply(psf, truth), scenario.noise_sigma, scenario.seed + trial)
+def _run_trial(truth, blurred, psf, scenario, cfg, trial):
+    """(x, trace, b, psnr of x) of trial `trial` of cfg on scenario: b is
+    blurred, truth's blur, plus the noise of seed + trial, and the run
+    starts from it."""
+    b = add_awgn(blurred, scenario.noise_sigma, scenario.seed + trial)
     x, trace = run_solver(cfg, b, psf, x0=b, truth=truth)
     return x, trace, b, psnr(x, truth)
 
 
-def _run_setting(truth, psf, scenario, cfg):
+def _run_trials(trial, count):
+    """[trial(t) for t in range(count)], run by the calling thread and
+    min(count, cpu_count) - 1 helper threads: the calling thread starts with
+    trial 0 and helper h with trial h, then each takes the next index from
+    one shared counter.  A trial's exception stops the handing out and is
+    raised once the other workers have finished their trials."""
+    workers = min(count, os.cpu_count() or 1)
+    indices, runs, errors = iter(range(workers, count)), [None] * count, []
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return None if errors else next(indices, None)
+
+    def work(t):
+        try:
+            while t is not None:
+                runs[t] = trial(t)
+                t = take()
+        except BaseException as exc:  # re-raised by the calling thread below
+            with lock:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work, args=(h,)) for h in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return runs
+
+
+def _run_setting(truth, blurred, psf, scenario, cfg):
     """(runs, curves, diverged) of one setting; see run_settings."""
-    trial = partial(_run_trial, truth, psf, scenario, cfg)
-    workers = min(scenario.trials, os.cpu_count() or 1)
-    if workers == 1:
-        runs = [trial(t) for t in range(scenario.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            runs = list(ex.map(trial, range(scenario.trials)))
+    runs = _run_trials(partial(_run_trial, truth, blurred, psf, scenario, cfg),
+                       scenario.trials)
     traces = [trace for _, trace, _, _ in runs]
     longest = max(len(trace) for trace in traces)
     curves = {}
@@ -236,8 +266,12 @@ def run_settings(settings, images_dir=None):
     first run each setting's image is checked against its wavelet depth,
     and against its kernel and step size by building the setting's operator
     plan, which the kernel keeps for the runs; a ValueError names the
-    image.  runs: _run_trial per trial, on min(trials, cpu_count) threads
-    (one worker: the calling thread).
+    image.  Then each distinct (image, size, kernel) is blurred once, and a
+    trial adds only its noise.  runs: _run_trial per trial, in trial order,
+    run by the calling thread beside min(trials, cpu_count) - 1 helper
+    threads: glibc gives each new thread a malloc arena of its own, so a
+    trial on the calling thread reuses the memory that loading and planning
+    freed instead of growing a fresh arena.
     curves: objective, psnr and seconds as (trials + 1, max_iters) arrays,
     row t trial t (NaN past its last record), the last row the across-trial
     NaN mean over the columns some trial reached (NaN after them).
@@ -256,9 +290,11 @@ def run_settings(settings, images_dir=None):
             wavelet_depth(shape)
         except ValueError as exc:
             raise ValueError(f"image {sc.image_id}: {exc}") from None
+    blurred = {key: blur_apply(psfs[key[2:]], truths[key[:2]]) for key in dict.fromkeys(
+        (sc.image_id, sc.image_size, sc.psf_size, sc.psf_sigma) for sc, _ in settings)}
     for sc, cfg in settings:
-        yield _run_setting(truths[sc.image_id, sc.image_size],
-                           psfs[sc.psf_size, sc.psf_sigma], sc, cfg)
+        image, kernel = (sc.image_id, sc.image_size), (sc.psf_size, sc.psf_sigma)
+        yield _run_setting(truths[image], blurred[image + kernel], psfs[kernel], sc, cfg)
 
 
 def _g17(v):

@@ -520,6 +520,8 @@ def test_every_command_builds_its_inputs_once_before_the_first_run(monkeypatch, 
         experiments.load_image, lambda image_id, images_dir, size: ("image", image_id, size)))
     monkeypatch.setattr(experiments, "make_gaussian_psf", recorder(
         experiments.make_gaussian_psf, lambda size, sigma: ("kernel", size, sigma)))
+    monkeypatch.setattr(experiments, "blur_apply", recorder(
+        experiments.blur_apply, lambda psf, x: ("blur", psf.size, x.shape)))
     monkeypatch.setattr(experiments, "run_solver", recorder(
         experiments.run_solver, lambda *args: ("run",)))
     cfg = write_cfg(tmp_path / "c.cfg", image="synthetic:lena", size=32, iterations=3,
@@ -530,7 +532,8 @@ def test_every_command_builds_its_inputs_once_before_the_first_run(monkeypatch, 
     inputs = calls[:calls.index(("run",))]
     assert set(calls[len(inputs):]) == {("run",)}  # nothing is built after the first run
     images = [("image", "cameraman", 32)] if command == "table" else []
-    assert sorted(inputs) == sorted(images + [("image", "lena", 32), ("kernel", 7, 4.0)])
+    blurs = [("blur", 7, (32, 32))] * (1 + len(images))  # one per image and kernel
+    assert sorted(inputs) == sorted(images + blurs + [("image", "lena", 32), ("kernel", 7, 4.0)])
 
 
 def readme_config_rows():

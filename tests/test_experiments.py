@@ -1,5 +1,7 @@
 import math
 import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -345,14 +347,62 @@ def test_fista_psnr_improves_with_budget():
     assert t_large.rows[0].psnr_mean > t_small.rows[0].psnr_mean + 0.5
 
 
-def test_trial_parallelism_matches_serial(small_scenario):
-    sc = small_scenario
+def test_trial_parallelism_matches_serial(monkeypatch):
+    # two workers on four trials: the calling thread runs trials beside a
+    # helper, and the objectives land in trial order
+    from proxdeblur import experiments
+
+    real_run_solver, threads = experiments.run_solver, []
+
+    def run_solver(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_solver", run_solver)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    sc = Scenario(image_id="cameraman", noise_sigma=0.01, K=5, trials=4, image_size=32)
     pooled = run_convergence_test(sc, ["efista"], [8])["efista"][8]["objective"]
+    assert len(threads) == 4 and threading.current_thread() in threads
     truth = load_image(sc.image_id, None, sc.image_size)
     psf = make_gaussian_psf(sc.psf_size, sc.psf_sigma)
     cfg = sc.solver_config("efista", 8, None, sc.K)
-    serial = [_run_trial(truth, psf, sc, cfg, t)[1].objectives() for t in range(sc.trials)]
+    blurred = blur_apply(psf, truth)
+    serial = [_run_trial(truth, blurred, psf, sc, cfg, t)[1].objectives()
+              for t in range(sc.trials)]
     assert np.array_equal(pooled, np.array(serial))
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failing_trial_stops_the_runner_and_leaves_no_thread(monkeypatch, failing):
+    # both workers hold a trial at once (the barrier); one raises, the
+    # other finishes its trial and takes no further one
+    from proxdeblur import experiments
+
+    caller, lock, barrier = threading.current_thread(), threading.Lock(), threading.Barrier(2)
+    started, threads = [], set()
+
+    def fake_trial(truth, blurred, psf, scenario, cfg, trial):
+        me = threading.current_thread()
+        with lock:
+            started.append(trial)
+            first = me not in threads
+            threads.add(me)
+        if first:
+            barrier.wait(timeout=30)
+        if (me is caller) == (failing == "caller"):
+            raise RuntimeError(f"trial {trial} failed")
+        time.sleep(0.2)  # the failure is recorded before this trial ends
+        return None, None, None, 0.0
+
+    monkeypatch.setattr(experiments, "_run_trial", fake_trial)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    sc = Scenario(image_id="cameraman", K=2, trials=4, image_size=32)
+    results = experiments.run_settings([(sc, sc.solver_config("fista", 1, None, sc.K))])
+    with pytest.raises(RuntimeError, match="failed"):
+        next(results)
+    assert sorted(started) == [0, 1]
+    assert len(threads) == 2 and caller in threads
+    assert not any(th.is_alive() for th in threads - {caller})
 
 
 def test_trial_mean_covers_the_columns_some_trial_reached(monkeypatch):
@@ -360,7 +410,7 @@ def test_trial_mean_covers_the_columns_some_trial_reached(monkeypatch):
     # three columns and NaN after them, with no warning about empty columns
     from proxdeblur import experiments
 
-    def fake_trial(truth, psf, scenario, cfg, trial):
+    def fake_trial(truth, blurred, psf, scenario, cfg, trial):
         records = np.zeros(3 - 2 * trial, dtype=TRACE_DTYPE).view(np.recarray)
         records.objective = records.psnr = records.seconds = np.arange(len(records)) + trial
         return None, IterationTrace(records), None, 0.0
@@ -370,7 +420,7 @@ def test_trial_mean_covers_the_columns_some_trial_reached(monkeypatch):
     cfg = sc.solver_config("fista", 1, None, sc.K)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, curves, _ = experiments._run_setting(None, None, sc, cfg)
+        _, curves, _ = experiments._run_setting(None, None, None, sc, cfg)
     for mat in curves.values():
         assert np.array_equal(mat[-1, :3], np.nanmean(mat[:-1, :3], axis=0))
         assert np.array_equal(mat[-1, :3], [0.5, 1.0, 2.0])
