@@ -18,6 +18,7 @@ iterations and trials it was given, and exits 1.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -246,7 +247,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and a batch of main calls would otherwise rebuild it each time."""
     parser = _Parser(
         prog="proxdeblur",
         description="Proximal-gradient deblurring benchmarks.")
@@ -258,7 +262,11 @@ def main(argv=None):
                         help="output directory (overrides config)")
         sp.add_argument("--seed", type=_count, default=None, help="base seed (overrides config)")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
         if args.out is not None:

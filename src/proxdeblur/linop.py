@@ -21,6 +21,12 @@ plan lives as long as its kernel.  operator_spectrum is the n = 1 plan of a
 (kernel, shape); lambda_max_AtA reads it, and weighting.operator_plan adds
 the W_n filter for n > 1.  make_gaussian_psf hands out one Psf per (size,
 sigma), so the commands share its plans across calls.
+
+The spatial blur is numpy, summed in the order of scipy.ndimage's
+correlate and correlate1d, so it has ndimage's bits without ndimage's
+import.  Importing this module loads numpy alone: scipy.fft is imported at
+the first DCT and scipy.sparse at the first Lanczos solve, so a run pays
+only for the scipy modules its route uses.
 """
 
 import functools
@@ -30,8 +36,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.fft import dctn, idctn
 
 __all__ = [
     "Psf",
@@ -56,6 +60,11 @@ __all__ = [
 # as symmetric, so taps computed with round-off take the DCT path; also the
 # largest difference between a tap and its rank-one factorization.
 _SYMMETRY_TOL = 1e-14
+
+# ndimage's cut-off: a 2-D tap at most this large in magnitude is left out
+# of the footprint, and 1-D weights whose mirrored pairs differ (or sum) by
+# at most this much are summed pairwise.
+_EPS = np.finfo(float).eps
 
 
 def require_int(name, value):
@@ -208,19 +217,67 @@ def _check_operands(psf, x):
     return x
 
 
+def _correlate(padded, taps):
+    """Valid 2-D correlation of an already padded image with taps, in the
+    arithmetic of ndimage.correlate: from a zero image, add tap * (the
+    shifted view under it) over the taps in C order, leaving out the taps
+    with |tap| <= _EPS as ndimage's footprint does."""
+    h = padded.shape[0] - taps.shape[0] + 1
+    w = padded.shape[1] - taps.shape[1] + 1
+    out = np.zeros((h, w))
+    term = np.empty((h, w))
+    for (i, j), tap in np.ndenumerate(taps):
+        if abs(tap) > _EPS:
+            out += np.multiply(padded[i:i + h, j:j + w], tap, out=term)
+    return out
+
+
+def _correlate1d(x, weights, axis):
+    """1-D correlation of the 2-D x with odd-sized weights along axis, the
+    borders mirrored half-sample (ndimage's "reflect"), in the arithmetic of
+    ndimage.correlate1d.  Weights whose mirrored pairs agree to within
+    _EPS start from the centre tap and add (left + right) * w_left over the
+    pairs from the outside in; weights whose pairs cancel do the same with
+    (left - right); any other weights start from the last tap and add taps
+    0 .. k-2 in order."""
+    k = weights.size
+    c = k // 2
+    n = x.shape[axis]
+    padded = np.pad(x, ((c, c), (0, 0)) if axis == 0 else ((0, 0), (c, c)), mode="symmetric")
+
+    def under(i):  # the input under tap i at every output position
+        return padded[i:i + n] if axis == 0 else padded[:, i:i + n]
+
+    left, right = weights[:c], weights[:c:-1]
+    pairs = (np.add if np.all(np.abs(left - right) <= _EPS)
+             else np.subtract if np.all(np.abs(left + right) <= _EPS) else None)
+    term = np.empty(x.shape)
+    if pairs is None:
+        out = under(k - 1) * weights[k - 1]
+        for i in range(k - 1):
+            out += np.multiply(under(i), weights[i], out=term)
+        return out
+    out = under(c) * weights[c]
+    for i in range(c):
+        out += np.multiply(pairs(under(i), under(k - 1 - i), out=term), weights[i], out=term)
+    return out
+
+
 def blur_apply(psf, x):
     """Apply the blur operator A: correlation with reflexive boundary extension.
 
     A kernel with rank-one factors (psf.factors) is run as two 1-D
     correlations, along the columns then along the rows; any other kernel as
-    one 2-D correlation.
+    one 2-D correlation.  Both are numpy in ndimage's summation order
+    (_correlate, _correlate1d), so the bits are those of
+    ndimage.correlate and correlate1d with mode="reflect".
     """
     x = _check_operands(psf, x)
     if psf.factors is None:
-        return ndimage.correlate(x, psf.taps, mode="reflect")
+        pad = psf.size // 2
+        return _correlate(np.pad(x, pad, mode="symmetric"), psf.taps)
     col, row = psf.factors
-    return ndimage.correlate1d(ndimage.correlate1d(x, col, axis=0, mode="reflect"),
-                               row, axis=1, mode="reflect")
+    return _correlate1d(_correlate1d(x, col, axis=0), row, axis=1)
 
 
 def _fold_rows(full, pad):
@@ -239,17 +296,18 @@ def blur_adjoint(psf, y):
     """Exact adjoint of blur_apply, boundary folding included.
 
     The forward blur is reflect-pad followed by a valid correlation, so the
-    adjoint is a full convolution of the zero-padded y followed by folding
-    the padded margin back onto its mirror sources.  For flip-symmetric
-    kernels this coincides with blur_apply.
+    adjoint is a full convolution of y (a valid correlation with the flipped
+    taps on y zero-padded by twice the half-width) followed by folding the
+    padded margin back onto its mirror sources.  The correlation is numpy in
+    ndimage's summation order, so the bits are those of ndimage.convolve
+    with mode="constant" on y zero-padded by the half-width.  For
+    flip-symmetric kernels this coincides with blur_apply.
     """
     y = _check_operands(psf, y)
     if psf.size == 1:
         return y * psf.taps[0, 0]
     pad = psf.size // 2
-    padded = np.zeros((y.shape[0] + 2 * pad, y.shape[1] + 2 * pad))
-    padded[pad:-pad, pad:-pad] = y
-    full = ndimage.convolve(padded, psf.taps, mode="constant")
+    full = _correlate(np.pad(y, 2 * pad), psf.taps[::-1, ::-1])
     return _fold_rows(_fold_rows(full.T, pad).T, pad)
 
 
@@ -268,12 +326,17 @@ def gradient(psf, x, b):
 
 def dct2(x, overwrite_x=False):
     """Orthonormal 2D DCT-II.  With overwrite_x a contiguous float x is
-    transformed in its own memory."""
+    transformed in its own memory.  scipy.fft is imported here, so only a
+    run that takes a DCT pays for loading it."""
+    from scipy.fft import dctn
+
     return dctn(x, type=2, norm="ortho", overwrite_x=overwrite_x)
 
 
 def idct2(x, overwrite_x=False):
-    """Inverse of dct2, with the same overwrite_x."""
+    """Inverse of dct2, with the same overwrite_x and the same import."""
+    from scipy.fft import idctn
+
     return idctn(x, type=2, norm="ortho", overwrite_x=overwrite_x)
 
 
@@ -408,8 +471,8 @@ def kronecker_decompose(psf, shape):
     x = np.random.default_rng(0).standard_normal(shape)
     ref = blur_adjoint(psf, blur_apply(psf, x))
     col, row = psf.factors
-    pc, sc, qct = np.linalg.svd(ndimage.correlate1d(np.eye(shape[0]), col, axis=0, mode="reflect"))
-    pr, sr, qrt = np.linalg.svd(ndimage.correlate1d(np.eye(shape[1]), row, axis=0, mode="reflect"))
+    pc, sc, qct = np.linalg.svd(_correlate1d(np.eye(shape[0]), col, axis=0))
+    pr, sr, qrt = np.linalg.svd(_correlate1d(np.eye(shape[1]), row, axis=0))
     lam = np.outer(sc, sr)
     basis = (pc, qct.T, pr, qrt.T)
     for a in (lam, *basis):

@@ -47,17 +47,41 @@ def run_cli(*args, cwd=None):
     return res
 
 
-def test_import_does_not_load_scipy_signal_or_stats():
-    # scipy.signal (and the scipy.stats it pulls in) would double the
-    # import time and add about 50 MB of resident memory; scipy.sparse,
-    # which only the Lanczos solve for kernels without flip symmetry
-    # needs, would add about 0.1 s
-    code = ("import sys, proxdeblur, proxdeblur.cli; print([m for m in "
-            "('scipy.signal', 'scipy.stats', 'scipy.sparse') if m in sys.modules])")
+def scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded once code has run."""
+    code += ("\nimport sys; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=child_env(), timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+def test_import_does_not_load_scipy_signal_or_stats():
+    # importing the package loads numpy alone: scipy.fft is imported at the
+    # first DCT and scipy.sparse at the first Lanczos solve, so a run pays
+    # only for the scipy modules its operator route uses (scipy.ndimage's
+    # import alone took about 0.5 s)
+    assert scipy_modules_after("import proxdeblur, proxdeblur.cli") == []
+
+
+ROUTE_RUN = """
+import sys
+sys.path.insert(0, {tests!r})
+import numpy as np
+from oracle import route_kernels
+from proxdeblur.solvers import SolverConfig, run_solver
+b = np.random.default_rng(0).random((32, 32))
+run_solver(SolverConfig(variant="efista", eta=0.99, lam=1e-3, n=8, max_iters=3), b,
+           route_kernels()[{route!r}])
+"""
+
+
+def test_a_run_loads_scipy_fft_only_on_the_dct_route():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    # the Kronecker route takes no DCT and no Lanczos solve: no scipy at all
+    assert scipy_modules_after(ROUTE_RUN.format(tests=tests, route="separable")) == []
+    assert "scipy.fft" in scipy_modules_after(ROUTE_RUN.format(tests=tests, route="dct"))
 
 
 def test_readme_library_example_runs_on_the_package_exports():

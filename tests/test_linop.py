@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from oracle import densify_blur, direct_blur, route_kernels
 from proxdeblur.linop import (
     Psf,
+    _correlate1d,
+    _fold_rows,
     blur_adjoint,
     blur_apply,
     dct2,
@@ -364,3 +367,59 @@ def test_lambda_max_of_rank_one_kernel_matches_dense_eigenvalue(height, width):
     A = direct_blur_matrix(psf, height, width)
     assert lambda_max_AtA(psf, width, height) == pytest.approx(
         float(np.linalg.eigvalsh(A.T @ A).max()), rel=1e-10)
+
+
+def ndimage_kernels():
+    """Kernels for the comparison with ndimage, keyed by what they cover."""
+    r = np.random.default_rng(7).random((5, 5))
+    return {
+        "size 1": make_gaussian_psf(1, 1.0),
+        "doubly symmetric": make_gaussian_psf(7, 4.0),
+        "tiny taps": make_gaussian_psf(7, 0.3),  # 28 of its 49 taps are <= eps
+        "full rank": Psf(size=5, taps=r / r.sum()),
+        # centre (3.5, 3.0): an asymmetric col and a symmetric row
+        "separable": route_kernels()["separable"],
+        # a row whose mirrored pairs cancel, which ndimage sums pairwise too
+        "antisymmetric row": Psf(size=3, taps=np.outer([0.25, 0.5, 0.25], [-0.2, 1.0, 0.2])),
+    }
+
+
+def ndimage_blur_pair(psf, x):
+    """blur_apply and blur_adjoint of x as the ndimage calls they reproduce."""
+    if psf.factors is None:
+        forward = ndimage.correlate(x, psf.taps, mode="reflect")
+    else:
+        col, row = psf.factors
+        forward = ndimage.correlate1d(ndimage.correlate1d(x, col, axis=0, mode="reflect"),
+                                      row, axis=1, mode="reflect")
+    pad = psf.size // 2
+    full = ndimage.convolve(np.pad(x, pad), psf.taps, mode="constant")
+    adjoint = full if pad == 0 else _fold_rows(_fold_rows(full.T, pad).T, pad)
+    return forward, adjoint
+
+
+@pytest.mark.parametrize("name", list(ndimage_kernels()))
+@pytest.mark.parametrize("scale", [1e-30, 1e-8, 1.0, 1e3])
+def test_blur_reproduces_ndimage_bit_for_bit(name, scale):
+    psf = ndimage_kernels()[name]
+    k = psf.size
+    if name == "tiny taps":
+        assert (np.abs(psf.taps) <= np.finfo(float).eps).sum() == 28
+    r = np.random.default_rng(k)
+    # a side equal to the kernel's in each axis, then drawn shapes
+    shapes = [(k, k), (k, k + 3), (k + 4, k)] + [
+        tuple(int(v) for v in r.integers(k, k + 13, 2)) for _ in range(4)]
+    for shape in shapes:
+        x = r.standard_normal(shape) * scale
+        forward, adjoint = ndimage_blur_pair(psf, x)
+        assert np.array_equal(blur_apply(psf, x), forward), shape
+        assert np.array_equal(blur_adjoint(psf, x), adjoint), shape
+
+
+@pytest.mark.parametrize("n", [7, 16, 33])
+def test_kronecker_factor_matrices_reproduce_ndimage_bit_for_bit(n):
+    # the 1-D correlation matrices whose SVDs make the Kronecker plan
+    for name in ("separable", "antisymmetric row"):
+        for weights in ndimage_kernels()[name].factors:
+            assert np.array_equal(_correlate1d(np.eye(n), weights, axis=0),
+                                  ndimage.correlate1d(np.eye(n), weights, axis=0, mode="reflect"))
