@@ -17,10 +17,10 @@ pointwise product on spectral coefficients:
 
 OperatorPlan holds what a solver run needs of A, including the transform
 pair of a spectral form, and each Psf keeps the plans built from it, so a
-plan lives as long as its kernel.  operator_spectrum is the n = 1 plan of a
-(kernel, shape); lambda_max_AtA reads it, and weighting.operator_plan adds
-the W_n filter for n > 1.  make_gaussian_psf hands out one Psf per (size,
-sigma), so the commands share its plans across calls.
+plan lives as long as its kernel.  operator_spectrum makes and checks the
+n = 1 plan of a (kernel, shape); lambda_max_AtA reads it, and
+weighting.operator_plan adds the W_n filter for n > 1.  make_gaussian_psf
+hands out one Psf per (size, sigma), so the commands share its plans.
 
 The spatial blur is numpy, summed in the order of scipy.ndimage's
 correlate and correlate1d, so it has ndimage's bits without ndimage's
@@ -206,14 +206,18 @@ def make_gaussian_psf(size, sigma):
     return Psf(size=size, taps=k / k.sum())
 
 
+def _check_fits(psf, shape):
+    """Raise ValueError unless the kernel fits in (height, width) images;
+    np.pad would mirror a longer pad past the far edge without complaint."""
+    if psf.size > min(shape):
+        raise ValueError(f"kernel size {psf.size} exceeds image dims {shape[1]}x{shape[0]}")
+
+
 def _check_operands(psf, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2D image, got shape {x.shape}")
-    if psf.size > min(x.shape):
-        raise ValueError(
-            f"kernel size {psf.size} exceeds image dims {x.shape[1]}x{x.shape[0]}"
-        )
+    _check_fits(psf, x.shape)
     return x
 
 
@@ -301,7 +305,8 @@ def blur_adjoint(psf, y):
     padded margin back onto its mirror sources.  The correlation is numpy in
     ndimage's summation order, so the bits are those of ndimage.convolve
     with mode="constant" on y zero-padded by the half-width.  For
-    flip-symmetric kernels this coincides with blur_apply.
+    flip-symmetric kernels this coincides with blur_apply.  Only the route
+    with no spectral form calls it (gradient, _lanczos_lambda_max).
     """
     y = _check_operands(psf, y)
     if psf.size == 1:
@@ -345,32 +350,19 @@ def spectral_decompose(psf, shape):
     kernel on (height, width) images: A = C^T diag(lam) C.
 
     They are recovered by blurring a corner impulse and dividing its DCT by
-    the DCT of the impulse itself.  The result is verified against the
-    spatial-domain A^T A on a random image before being returned.
+    the DCT of the impulse itself; operator_spectrum checks them.
 
     Raises
     ------
     ValueError
         If the kernel is not flip-symmetric in both axes (A has no DCT form
         then).
-    ArithmeticError
-        If the self-check against the spatial operator fails.
     """
     if not psf.is_doubly_symmetric():
         raise ValueError("spectral path requires a doubly symmetric psf")
     e1 = np.zeros(shape)
     e1[0, 0] = 1.0
-    lam = dct2(blur_apply(psf, e1)) / dct2(e1)
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(shape)
-    ref = blur_adjoint(psf, blur_apply(psf, x))
-    err = np.linalg.norm(idct2(lam * lam * dct2(x)) - ref) / np.linalg.norm(ref)
-    if not err <= 1e-10:
-        raise ArithmeticError(
-            f"spectral decomposition self-check failed (relative error {err:.3e})"
-        )
-    return lam
+    return dct2(blur_apply(psf, e1)) / dct2(e1)
 
 
 def _lanczos_lambda_max(psf, shape):
@@ -395,23 +387,24 @@ def lambda_max_AtA(psf, width, height):
     return operator_spectrum(psf, (height, width)).lambda_max_AtA
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPlan:
     """Everything a solver run needs to know about its operator.
 
     A spectral form is an orthonormal transform pair with
-    forward_data(A x) = lam * forward(x).  On the DCT route forward and
-    forward_data are dct2, inverse is idct2 and lam holds the signed DCT
-    eigenvalues of A.  On the Kronecker route basis = (Pc, Qc, Pr, Qr)
-    (kronecker_decompose): forward(x) = Qc^T x Qr, inverse(c) = Qc c Qr^T,
-    forward_data(b) = Pc^T b Pr, and lam = outer(sc, sr) >= 0.  phi is the
-    W_n filter at mu = eta lam^2 (1.0 when n = 1), gain = phi * lam the
-    factor the spectral step applies to its residual, and lambda_max_W =
-    max phi, exact on both routes.  Without a spectral form (a full-rank
-    kernel without flip symmetry) lam, phi and gain are None, the transform
-    pair is not used, and lambda_max_W is its bound n.  lambda_max_AtA is
-    the largest of lam^2, or the Lanczos eigenvalue otherwise, exact to
-    round-off either way.
+    forward_data(A x) = lam * forward(x), checked by operator_spectrum.
+    On the DCT route forward and forward_data are dct2, inverse is idct2
+    and lam holds the signed DCT eigenvalues of A.  On the Kronecker route
+    basis = (Pc, Qc, Pr, Qr) (kronecker_decompose): forward(x) = Qc^T x Qr,
+    inverse(c) = Qc c Qr^T, forward_data(b) = Pc^T b Pr, and lam =
+    outer(sc, sr) >= 0.  phi is the W_n filter at mu = eta lam^2 (1.0 when
+    n = 1), gain = phi * lam the factor the spectral step applies to its
+    residual, and lambda_max_W = max phi, exact on both routes.  Without a
+    spectral form (a full-rank kernel without flip symmetry) lam, phi and
+    gain are None, the transform pair is not used, and lambda_max_W is its
+    bound n.  lambda_max_AtA is the largest of lam^2, or the Lanczos
+    eigenvalue otherwise, exact to round-off either way.  Plans compare
+    and hash by identity, as kernels do.
     """
 
     lambda_max_AtA: float
@@ -452,58 +445,56 @@ class OperatorPlan:
 
 
 def kronecker_decompose(psf, shape):
-    """The n = 1 OperatorPlan of a rank-one kernel (psf.factors set) on
-    (height, width) images.
+    """(lam, basis) of a rank-one kernel (psf.factors set) on (height, width)
+    images, with basis = (Pc, Qc, Pr, Qr).
 
     With reflexive borders A X = Ac X Ar^T, where Ac (H x H) and Ar (W x W)
     are the matrices of the 1-D correlations with col and row.  Their SVDs
     Ac = Pc Sc Qc^T and Ar = Pr Sr Qr^T diagonalize A: Pc^T (A X) Pr =
-    outer(sc, sr) * (Qc^T X Qr).  The plan is verified against the
-    spatial-domain A^T A on a random image before being returned.
-
-    Raises
-    ------
-    ValueError
-        If the kernel is larger than the image, before any SVD.
-    ArithmeticError
-        If the self-check against the spatial operator fails.
+    lam * (Qc^T X Qr) with lam = outer(sc, sr); operator_spectrum checks it.
     """
-    x = np.random.default_rng(0).standard_normal(shape)
-    ref = blur_adjoint(psf, blur_apply(psf, x))
     col, row = psf.factors
     pc, sc, qct = np.linalg.svd(_correlate1d(np.eye(shape[0]), col, axis=0))
     pr, sr, qrt = np.linalg.svd(_correlate1d(np.eye(shape[1]), row, axis=0))
-    lam = np.outer(sc, sr)
-    basis = (pc, qct.T, pr, qrt.T)
-    for a in (lam, *basis):
-        a.flags.writeable = False
-    plan = OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
-                        lam=lam, phi=1.0, gain=lam, basis=basis)
-    err = np.linalg.norm(plan.inverse(lam * lam * plan.forward(x)) - ref) / np.linalg.norm(ref)
-    if not err <= 1e-10:
-        raise ArithmeticError(
-            f"Kronecker decomposition self-check failed (relative error {err:.3e})"
-        )
-    return plan
+    return np.outer(sc, sr), (pc, qct.T, pr, qrt.T)
 
 
 def operator_spectrum(psf, shape):
     """The n = 1 OperatorPlan of psf on (height, width) images, kept by psf.
 
     A doubly symmetric kernel gets the DCT plan (spectral_decompose), a
-    rank-one kernel the Kronecker plan (kronecker_decompose), each with its
-    self-check; any other kernel one Lanczos solve (_lanczos_lambda_max).
+    rank-one kernel the Kronecker plan (kronecker_decompose); any other
+    kernel one Lanczos solve (_lanczos_lambda_max).  A spectral plan is
+    kept only if forward_data(A x) = lam * forward(x), the identity its
+    step runs on, holds to a relative 1e-10 on a seeded random image x.
+
+    Raises
+    ------
+    ValueError
+        If the kernel is larger than the image, before any decomposition.
+    ArithmeticError
+        If a spectral plan fails its check, naming the route.
     """
-    h, w = shape
+    _check_fits(psf, shape)
 
     def build():
         if psf.is_doubly_symmetric():
-            lam = spectral_decompose(psf, shape)
-            lam.flags.writeable = False
-            return OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
-                                lam=lam, phi=1.0, gain=lam)
-        if psf.factors is not None:
-            return kronecker_decompose(psf, shape)
-        return OperatorPlan(lambda_max_AtA=_lanczos_lambda_max(psf, shape), lambda_max_W=1.0)
+            route, lam, basis = "DCT", spectral_decompose(psf, shape), None
+        elif psf.factors is not None:
+            route, (lam, basis) = "Kronecker", kronecker_decompose(psf, shape)
+        else:
+            return OperatorPlan(lambda_max_AtA=_lanczos_lambda_max(psf, shape), lambda_max_W=1.0)
+        for a in (lam, *(basis or ())):
+            a.flags.writeable = False
+        plan = OperatorPlan(lambda_max_AtA=float((lam * lam).max()), lambda_max_W=1.0,
+                            lam=lam, phi=1.0, gain=lam, basis=basis)
+        x = np.random.default_rng(0).standard_normal(shape)
+        ref = plan.forward_data(blur_apply(psf, x))
+        err = np.linalg.norm(lam * plan.forward(x) - ref) / np.linalg.norm(ref)
+        if not err <= 1e-10:
+            raise ArithmeticError(
+                f"{route} decomposition self-check failed (relative error {err:.3e})"
+            )
+        return plan
 
-    return psf.plan((h, w), build)
+    return psf.plan(tuple(shape), build)

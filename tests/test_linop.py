@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from oracle import densify_blur, direct_blur, route_kernels
+from proxdeblur import linop
 from proxdeblur.linop import (
     Psf,
     _correlate1d,
@@ -273,6 +274,31 @@ def test_spectral_decompose_rejections(asymmetric_psf, psf31):
         spectral_decompose(asymmetric_psf, (8, 8))
     with pytest.raises(ValueError):  # eta enters at the plan, which checks it
         operator_plan(psf31, (8, 8), 0.0, 2)
+
+
+@pytest.mark.parametrize("route", ["dct", "separable", "2d"])
+def test_a_kernel_larger_than_the_image_is_rejected_before_any_decomposition(monkeypatch,
+                                                                             route):
+    # np.pad mirrors a pad longer than the axis without complaint, so the
+    # 1-D correlation of np.eye would not raise: the plan checks the size first
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((linop, "spectral_decompose"), (linop, "kronecker_decompose"),
+                         (linop, "_lanczos_lambda_max"), (np.linalg, "svd")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    psf = route_kernels()[route]
+    k = psf.size
+    for shape in ((k - 1, 12), (12, k - 1)):
+        with pytest.raises(ValueError,
+                           match=f"kernel size {k} exceeds image dims {shape[1]}x{shape[0]}"):
+            operator_spectrum(psf, shape)
+    assert calls == []
 
 
 def test_lambda_max_matches_dense(psf52):

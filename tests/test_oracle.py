@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle import (
     DenseOperator,
@@ -13,6 +15,7 @@ from oracle import (
     route_kernels,
     soft_threshold,
 )
+from proxdeblur import linop
 from proxdeblur.linop import Psf, blur_apply, operator_spectrum
 from proxdeblur.solvers import (
     Problem,
@@ -20,7 +23,7 @@ from proxdeblur.solvers import (
     SolverState,
     efista_step,
 )
-from proxdeblur.wavelet import LiftingWorkspace
+from proxdeblur.wavelet import LiftingWorkspace, wavelet_depth
 from proxdeblur.weighting import apply_weighted_gradient_nstep
 
 
@@ -98,13 +101,13 @@ def test_dense_wavelet_matrices_match_fast_path(rng):
     assert np.abs(syn.entries @ ana.entries - np.eye(64)).max() < 1e-9
 
 
-def march_dense_and_solver(rng, psf, A, eta, variant, n, p, shape=(8, 8)):
+def march_dense_and_solver(rng, psf, A, eta, variant, n, p, shape=(8, 8), levels=2):
     """20 steps of efista_step and of dense_solver_step from the same noisy
-    data of the given shape (lam = 1e-3, two wavelet levels); their alphas
-    agree to 1e-12 at every step and their final x to 1e-8.  Returns the
-    solver's Problem."""
+    data of the given shape (lam = 1e-3, two wavelet levels by default);
+    their alphas agree to 1e-12 at every step and their final x to 1e-8.
+    Returns the solver's Problem."""
     h, w = shape
-    lam, levels = 1e-3, 2
+    lam = 1e-3
     cfg = SolverConfig(variant=variant, eta=eta, lam=lam, n=n, p=p,
                        wavelet_levels=levels)
     Wn = dense_Wn(A, eta, cfg.n)
@@ -164,16 +167,88 @@ def test_dense_step_matches_solver_step_on_the_kronecker_route(rng, shape, n, p)
     assert problem.plan.basis is not None
 
 
-def test_a_corrupted_kronecker_basis_fails_the_self_check(monkeypatch):
-    svd = np.linalg.svd
+def drawn_kernel(kind, size, seed):
+    """A normalized kernel of the given kind with seeded taps in [0.05, 1):
+    "symmetric" mirrors one random quarter into both axes, "rank one" is
+    outer(col, row) and "full rank" is a random matrix, neither of the
+    last two flip-symmetric."""
+    rng = np.random.default_rng(seed)
+    if kind == "symmetric":
+        fold = np.minimum(np.arange(size), np.arange(size)[::-1])
+        taps = rng.uniform(0.05, 1.0, (size, size))[np.ix_(fold, fold)]
+    elif kind == "rank one":
+        taps = np.outer(rng.uniform(0.05, 1.0, size), rng.uniform(0.05, 1.0, size))
+    else:
+        taps = rng.uniform(0.05, 1.0, (size, size))
+    return Psf(size=size, taps=taps / taps.sum())
 
-    def corrupted(a):
-        u, s, vt = svd(a)
-        return u, s * 1.01, vt
 
-    monkeypatch.setattr(np.linalg, "svd", corrupted)
-    psf = route_kernels()["separable"]
-    with pytest.raises(ArithmeticError, match="Kronecker decomposition self-check failed"):
+@st.composite
+def kernels_and_shapes(draw):
+    """(kind, odd kernel side <= 5, shape up to 8x12 that fits it, a
+    wavelet depth the shape admits)."""
+    kind = draw(st.sampled_from(["symmetric", "rank one", "full rank"]))
+    size = draw(st.sampled_from([1, 3, 5] if kind == "symmetric" else [3, 5]))
+    h = draw(st.sampled_from([s for s in (2, 4, 6, 8) if s >= size]))
+    w = draw(st.sampled_from([s for s in range(2, 13, 2) if s >= size]))
+    return kind, size, (h, w), draw(st.integers(1, wavelet_depth((h, w))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=kernels_and_shapes(), variant=st.sampled_from(["ista", "fista", "ifista", "efista"]),
+       n=st.integers(1, 8), p=st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1))
+@example(case=("symmetric", 5, (8, 12), 2), variant="efista", n=8, p=2.0, seed=1)
+@example(case=("rank one", 5, (6, 12), 1), variant="efista", n=8, p=2.0, seed=2)
+@example(case=("full rank", 3, (8, 4), 2), variant="efista", n=3, p=1.5, seed=3)
+def test_dense_step_matches_solver_step_on_drawn_kernels_and_shapes(case, variant, n, p, seed):
+    # the dense A comes from direct_blur, so no library blur is its own reference
+    kind, size, (h, w), levels = case
+    psf = drawn_kernel(kind, size, seed)
+    A = densify_blur(psf, w, h, blur=direct_blur)
+    eta = 0.9 / np.linalg.eigvalsh(A.entries.T @ A.entries).max()
+    problem = march_dense_and_solver(np.random.default_rng(seed), psf, A, eta, variant, n, p,
+                                     (h, w), levels)
+    if kind == "symmetric":  # the DCT plan
+        assert psf.is_doubly_symmetric() and problem.cb is not None
+        assert problem.plan.basis is None
+    elif kind == "rank one":  # the Kronecker plan
+        assert psf.factors is not None and problem.plan.basis is not None
+    else:  # the n-step recursion
+        assert psf.factors is None and problem.cb is None and problem.plan.lam is None
+
+
+def _negated(a, index):
+    a = a.copy()
+    a[index] *= -1
+    return a
+
+
+# each turns np.linalg.svd's (U, s, V^T) into a wrong Kronecker basis; a
+# flipped U column or V^T row leaves A^T A = Qc diag(lam^2) Qc^T as it was,
+# so only a check on A itself sees it
+SVD_CORRUPTIONS = {
+    "scaled-singular-values": lambda u, s, vt: (u, s * 1.01, vt),
+    "flipped-U-column": lambda u, s, vt: (_negated(u, (slice(None), 1)), s, vt),
+    "flipped-Vt-row": lambda u, s, vt: (u, s, _negated(vt, 1)),
+}
+
+
+@pytest.mark.parametrize("route, corruption", [
+    *(("Kronecker", name) for name in SVD_CORRUPTIONS),
+    ("DCT", "negated-lam"),
+])
+def test_a_corrupted_decomposition_fails_the_self_check(monkeypatch, route, corruption):
+    if route == "DCT":
+        decompose = linop.spectral_decompose
+        monkeypatch.setattr(linop, "spectral_decompose",
+                            lambda psf, shape: -decompose(psf, shape))
+        taps = route_kernels()["dct"].taps
+        psf = Psf(size=taps.shape[0], taps=taps)  # a new kernel keeps no plan yet
+    else:
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a: SVD_CORRUPTIONS[corruption](*svd(a)))
+        psf = route_kernels()["separable"]
+    with pytest.raises(ArithmeticError, match=f"{route} decomposition self-check failed"):
         operator_spectrum(psf, (8, 12))
 
 

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import densify_blur, dense_Wn
-from proxdeblur.linop import dct2, gradient, idct2, operator_spectrum, spectral_decompose
+from proxdeblur.linop import (
+    Psf,
+    dct2,
+    gradient,
+    idct2,
+    operator_spectrum,
+    spectral_decompose,
+)
 from proxdeblur.weighting import (
     MAX_ORDER,
     STEP_TOL,
@@ -134,6 +141,9 @@ def test_the_order_one_plan_is_the_cached_spectrum(psf31, asymmetric_psf):
     plan = operator_plan(psf31, (16, 16), 0.5, 4)
     assert plan.lam is spectrum.lam and plan.lambda_max_AtA == spectrum.lambda_max_AtA
     np.testing.assert_array_equal(plan.gain, plan.phi * spectrum.lam)
+    # plans compare and hash by identity, as kernels do, not by their arrays
+    twin = operator_spectrum(Psf(size=psf31.size, taps=psf31.taps), (16, 16))
+    assert spectrum == spectrum and spectrum != twin and len({spectrum, twin, spectrum}) == 2
     spectrum = operator_spectrum(asymmetric_psf, (8, 8))
     assert operator_plan(asymmetric_psf, (8, 8), 0.5, 1) is spectrum
     plan = operator_plan(asymmetric_psf, (8, 8), 0.5, 4)
